@@ -21,7 +21,7 @@
 //!
 //! The fit is **deterministic**: the same training pairs in the same
 //! order produce bit-identical coefficients, which is what lets np-serve
-//! cache predictions by content digest and lets clients re-derive a
+//! cache fitted models by training content and lets clients re-derive a
 //! server's answer locally to audit it.
 
 use np_simulator::HwEvent;

@@ -1,10 +1,16 @@
-//! The deterministic LRU prediction cache.
+//! The deterministic LRU prediction cache, which holds calibrated cost
+//! models.
 //!
-//! `predict` answers are pure functions of (source-set content digest,
-//! target machine, model family, store generation) — the fit is
-//! deterministic and the generation changes on every write — so they can
-//! be cached without staleness: a put anywhere in the store moves the
-//! generation and thereby invalidates every cached cost.
+//! Calibrating the transfer model is `predict`'s costly step, and its
+//! result is a pure function of (target machine, the target's stored
+//! content, model family): the least-squares fit is deterministic over
+//! key-ordered training pairs. So the cache holds the **calibrated
+//! model**, keyed by exactly those three, with the content named by the
+//! store's fingerprint of the target's sets. Every source priced on a
+//! target shares one fit; a put that re-publishes identical content, or
+//! writes another machine, invalidates nothing; any real change to the
+//! target's content yields a new key, so a stale model is never served.
+//! The key holds no store generation.
 //!
 //! Recency is a logical clock (one tick per access), not wall time, so
 //! eviction order is a deterministic function of the access sequence —
@@ -12,56 +18,53 @@
 //! miss and eviction totals are kept both locally (for `Stats` replies)
 //! and in telemetry (`serve.cache.*`).
 
+use np_models::transfer::TransferModel;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Cache key: everything a prediction depends on.
+/// Cache key: everything a calibration depends on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Content digest of the source indicator set.
-    pub digest: u64,
-    /// Target machine the cost was transferred onto.
+    /// Machine whose stored sets calibrate the model.
     pub target: String,
+    /// Fingerprint of the target's stored content: FNV-1a over the
+    /// content digests of its sets in key order.
+    pub fingerprint: u64,
     /// Model family identifier ([`crate::proto::MODEL_ID`]).
     pub model: String,
-    /// Store generation the model was calibrated at.
-    pub generation: u64,
 }
 
-/// A cached prediction (everything needed to rebuild a `CostReply`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedCost {
-    /// Predicted cost, cycles.
-    pub cost: f64,
-    /// R² of the calibrated model.
-    pub r_squared: f64,
-    /// Kept feature names.
-    pub features: Vec<String>,
+/// A calibrated cost model and the number of stored sets it was fitted
+/// from.
+pub struct Calibration {
+    /// The fitted model.
+    pub model: TransferModel,
     /// Training-set size of the calibration.
     pub training_sets: u64,
 }
 
-struct Slot {
-    value: CachedCost,
+struct Slot<V> {
+    value: V,
     stamp: u64,
 }
 
-struct Inner {
+struct Inner<V> {
     capacity: usize,
     tick: u64,
-    entries: HashMap<CacheKey, Slot>,
+    entries: HashMap<CacheKey, Slot<V>>,
 }
 
-/// Bounded LRU cache with deterministic eviction.
-pub struct PredictionCache {
-    inner: Mutex<Inner>,
+/// Bounded LRU cache with deterministic eviction. The server stores
+/// shared [`Calibration`]s; the eviction logic does not look at values.
+pub struct PredictionCache<V = Arc<Calibration>> {
+    inner: Mutex<Inner<V>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl PredictionCache {
+impl<V: Clone> PredictionCache<V> {
     /// Creates a cache holding at most `capacity` entries (min 1).
     pub fn new(capacity: usize) -> Self {
         PredictionCache {
@@ -77,7 +80,7 @@ impl PredictionCache {
     }
 
     /// Looks a key up, refreshing its recency on hit.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedCost> {
+    pub fn get(&self, key: &CacheKey) -> Option<V> {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
@@ -99,7 +102,7 @@ impl PredictionCache {
     /// Inserts a value, evicting the least-recently-used entry when the
     /// cache is full. Stamps are unique (one per access), so the victim
     /// is unambiguous and eviction order is deterministic.
-    pub fn insert(&self, key: CacheKey, value: CachedCost) {
+    pub fn insert(&self, key: CacheKey, value: V) {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
@@ -160,22 +163,22 @@ impl PredictionCache {
 mod tests {
     use super::*;
 
-    fn key(digest: u64) -> CacheKey {
+    fn key(fingerprint: u64) -> CacheKey {
         CacheKey {
-            digest,
             target: "dl580".to_string(),
+            fingerprint,
             model: "m".to_string(),
-            generation: 1,
         }
     }
 
-    fn cost(v: f64) -> CachedCost {
-        CachedCost {
-            cost: v,
-            r_squared: 1.0,
-            features: vec!["L1dMiss".to_string()],
-            training_sets: 10,
-        }
+    /// A stand-in cached value: eviction never looks at values.
+    #[derive(Clone)]
+    struct Priced {
+        cost: f64,
+    }
+
+    fn cost(v: f64) -> Priced {
+        Priced { cost: v }
     }
 
     #[test]
@@ -215,11 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn distinct_generations_are_distinct_entries() {
+    fn distinct_targets_are_distinct_entries() {
         let cache = PredictionCache::new(4);
         let mut young = key(7);
-        young.generation = 2;
+        young.target = "ring".to_string();
         cache.insert(key(7), cost(1.0));
-        assert!(cache.get(&young).is_none(), "generation is part of the key");
+        assert!(cache.get(&young).is_none(), "target is part of the key");
     }
 }

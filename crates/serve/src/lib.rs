@@ -18,9 +18,11 @@
 //!   only contend with readers of their own shard.
 //! * Request **batching** — one frame may carry many requests; all its
 //!   queries are answered in a single pass per shard.
-//! * [`cache`] — a deterministic LRU keyed by (content digest, target
-//!   machine, model, store generation), so repeated transfers skip the
-//!   fit entirely and can never serve stale costs.
+//! * [`cache`] — a deterministic LRU of calibrated models keyed by
+//!   (target machine, fingerprint of the target's stored content, model),
+//!   so every transfer onto an unchanged target skips the fit, writes
+//!   that change nothing invalidate nothing, and a stale model is never
+//!   served.
 //!
 //! The wire protocol ([`proto`]) is versioned line-delimited JSON; all
 //! socket IO runs through `np-resilience` (`read_line_bounded`, stream
@@ -38,7 +40,7 @@ pub mod server;
 pub mod store;
 pub mod window;
 
-pub use cache::{CacheKey, CachedCost, PredictionCache};
+pub use cache::{CacheKey, Calibration, PredictionCache};
 pub use client::{ClientError, ClientLimits, ClientSession, ExchangeClient};
 pub use loadgen::{LoadSummary, LoadgenConfig};
 pub use meta::{BenchMeta, BENCH_META_VERSION};

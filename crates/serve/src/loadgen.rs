@@ -6,7 +6,10 @@
 //!
 //! 1. **seed** — publish indicator sets for two synthetic machines;
 //! 2. **cold/warm predict** — time the same cross-machine `predict`
-//!    uncached and cached, giving the cache-hit speedup;
+//!    uncached and cached, giving the cache-hit speedup. The server
+//!    caches calibrations by training content, so the cold predict is
+//!    only cold on a server that has not seen this seed's sets: a repeat
+//!    run against the same server is refused with that cause;
 //! 3. **audit** — refit the transfer model client-side from queried sets
 //!    and check the server's transferred cost matches the direct
 //!    `np-models` evaluation (the fit is deterministic, so they must);
@@ -265,9 +268,14 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadSummary, ClientError> {
     frames += 1;
     requests += 1;
     if cold.cached {
-        return Err(ClientError::Protocol(
-            "first predict reported as cached".to_string(),
-        ));
+        // Models are cached by training content, so the server can only
+        // hold this calibration if it already saw these very sets.
+        return Err(ClientError::Protocol(format!(
+            "first predict reported as cached: the server already holds the model \
+             calibrated from host-b's seed-{} sets, so this repeats an earlier run against \
+             the same long-lived server; rerun with another --seed or against a fresh server",
+            config.seed
+        )));
     }
 
     let started = Instant::now();

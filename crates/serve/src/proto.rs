@@ -12,7 +12,7 @@
 //! structs plus unit / newtype enum variants — the subset both shim
 //! halves round-trip exactly. `f64` values round-trip bit-exactly
 //! (shortest-roundtrip formatting), which is what makes content digests
-//! and cached predictions stable across the wire.
+//! and predicted costs stable across the wire.
 
 use np_simulator::HwEvent;
 use serde::{Deserialize, Serialize};
@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Identity of the cost-model family used for `predict`; part of the
-/// prediction cache key so a future model change cannot serve stale costs.
+/// prediction cache key so a future model change cannot serve stale models.
 pub const MODEL_ID: &str = "transfer-linear-v1";
 
 /// Primary key of a stored indicator set: which machine measured which
@@ -159,7 +159,8 @@ pub enum Request {
 pub struct PutReply {
     /// True when an existing set under the same key was replaced.
     pub replaced: bool,
-    /// Store generation after the write (bumped by every put).
+    /// Store generation after the write (bumped by every put, whether
+    /// or not it changed any content; no cache keys on it).
     pub generation: u64,
 }
 
@@ -181,7 +182,9 @@ pub struct CostReply {
     pub features: Vec<String>,
     /// Number of stored sets the model was calibrated from.
     pub training_sets: u64,
-    /// True when the answer came from the prediction cache.
+    /// True when the calibrated model came from the cache: the target's
+    /// stored content was unchanged since an earlier predict fitted it.
+    /// The cost itself is always evaluated for this request's source.
     pub cached: bool,
 }
 
@@ -194,13 +197,14 @@ pub struct StatsReply {
     pub shards: u64,
     /// Current store generation.
     pub generation: u64,
-    /// Prediction-cache hits since boot.
+    /// Prediction-cache hits since boot (predicts that reused a
+    /// calibrated model).
     pub cache_hits: u64,
-    /// Prediction-cache misses since boot.
+    /// Prediction-cache misses since boot (predicts that fitted one).
     pub cache_misses: u64,
     /// Prediction-cache evictions since boot.
     pub cache_evictions: u64,
-    /// Entries currently cached.
+    /// Calibrated models currently cached.
     pub cache_len: u64,
     /// Width of one rate-window interval, milliseconds.
     pub window_interval_ms: u64,

@@ -15,7 +15,7 @@
 //! server. All traffic is measured: per-endpoint latency spans, an
 //! in-flight connection gauge, request/error/fault counters.
 
-use crate::cache::{CacheKey, CachedCost, PredictionCache};
+use crate::cache::{CacheKey, Calibration, PredictionCache};
 use crate::proto::{
     CostReply, PredictReq, Request, RequestFrame, Response, ResponseFrame, SetsReply, StatsReply,
     MODEL_ID, PROTOCOL_VERSION,
@@ -426,8 +426,8 @@ fn process_frame(shared: &Shared, line: &str) -> ResponseFrame {
     ResponseFrame::new(responses)
 }
 
-/// Transfers the stored source set onto the target machine's cost model,
-/// through the prediction cache.
+/// Transfers the stored source set onto the target machine's calibrated
+/// cost model.
 fn predict(shared: &Shared, req: &PredictReq) -> Response {
     let source = match shared.store.get(&req.source) {
         Some(set) => set,
@@ -438,59 +438,59 @@ fn predict(shared: &Shared, req: &PredictReq) -> Response {
             ))
         }
     };
-    let key = CacheKey {
-        digest: source.digest(),
-        target: req.target_machine.clone(),
-        model: MODEL_ID.to_string(),
-        generation: shared.store.generation(),
+    let (calibration, cached) = match calibrate(shared, &req.target_machine) {
+        Ok(found) => found,
+        Err(e) => return Response::Error(e),
     };
-    if let Some(cached) = shared.cache.get(&key) {
-        return Response::Cost(CostReply {
-            cost: cached.cost,
-            r_squared: cached.r_squared,
-            features: cached.features,
-            training_sets: cached.training_sets,
-            cached: true,
-        });
+    match calibration.model.predict(&source.indicators) {
+        Some(cost) => Response::Cost(CostReply {
+            cost,
+            r_squared: calibration.model.r_squared,
+            features: calibration
+                .model
+                .features
+                .iter()
+                .map(|e| e.name().to_string())
+                .collect(),
+            training_sets: calibration.training_sets,
+            cached,
+        }),
+        None => Response::Error(format!(
+            "source set lacks indicator features required by '{}' model",
+            req.target_machine
+        )),
     }
-    let pairs = shared.store.training_pairs(&req.target_machine);
-    let model = match TransferModel::fit(&pairs) {
-        Some(model) => model,
-        None => {
-            return Response::Error(format!(
-                "cannot calibrate a cost model for '{}' from {} stored sets",
-                req.target_machine,
-                pairs.len()
-            ))
-        }
+}
+
+/// The model calibrated from `target`'s stored sets, and whether it came
+/// from the cache. A miss fits from the very snapshot whose fingerprint
+/// keys the entry, so a cached model is always the fit of the content its
+/// key names. The shard locks of the snapshot are released before the
+/// cache lock is taken.
+fn calibrate(shared: &Shared, target: &str) -> Result<(Arc<Calibration>, bool), String> {
+    let snapshot = shared.store.machine_snapshot(target);
+    let key = CacheKey {
+        target: target.to_string(),
+        fingerprint: snapshot.fingerprint(),
+        model: MODEL_ID.to_string(),
     };
-    let cost = match model.predict(&source.indicators) {
-        Some(cost) => cost,
-        None => {
-            return Response::Error(format!(
-                "source set lacks indicator features required by '{}' model",
-                req.target_machine
-            ))
-        }
-    };
-    let value = CachedCost {
-        cost,
-        r_squared: model.r_squared,
-        features: model
-            .features
-            .iter()
-            .map(|e| e.name().to_string())
-            .collect(),
+    if let Some(calibration) = shared.cache.get(&key) {
+        return Ok((calibration, true));
+    }
+    let pairs = snapshot.training_pairs();
+    np_telemetry::counter!("serve.model.fits").inc();
+    let model = TransferModel::fit(&pairs).ok_or_else(|| {
+        format!(
+            "cannot calibrate a cost model for '{target}' from {} stored sets",
+            pairs.len()
+        )
+    })?;
+    let calibration = Arc::new(Calibration {
+        model,
         training_sets: pairs.len() as u64,
-    };
-    shared.cache.insert(key, value.clone());
-    Response::Cost(CostReply {
-        cost: value.cost,
-        r_squared: value.r_squared,
-        features: value.features,
-        training_sets: value.training_sets,
-        cached: false,
-    })
+    });
+    shared.cache.insert(key, Arc::clone(&calibration));
+    Ok((calibration, false))
 }
 
 fn stats(shared: &Shared) -> StatsReply {

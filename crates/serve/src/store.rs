@@ -11,22 +11,67 @@
 //! Iteration results are **stable snapshots**: matching sets are returned
 //! sorted by key as `Arc` clones taken under the lock, so a reader's
 //! result is internally consistent even while writers land on other
-//! shards. A monotonically increasing *generation* counter is bumped by
-//! every write; the prediction cache keys on it so any store mutation
-//! invalidates derived costs.
+//! shards. Each entry keeps its set's content digest beside it, computed
+//! on first use rather than in `put` (serializing a set costs more than
+//! storing it), so `ShardedStore::machine_snapshot` can fingerprint a
+//! machine's content without re-digesting what did not change. The
+//! prediction cache keys calibrated models on that fingerprint: a put
+//! that re-publishes identical content, or writes another machine,
+//! leaves every cached model valid. A monotonically increasing
+//! *generation* counter still counts every write for `put` and `stats`
+//! replies.
 
 use crate::proto::{fnv1a64, IndicatorKey, IndicatorSet, PutReply, QueryReq};
 use np_models::transfer::Indicators;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
-type Shard = RwLock<HashMap<IndicatorKey, Arc<IndicatorSet>>>;
+/// One stored set and its content digest, filled on first use.
+struct Entry {
+    set: Arc<IndicatorSet>,
+    digest: OnceLock<u64>,
+}
+
+impl Entry {
+    fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| self.set.digest())
+    }
+}
+
+type Shard = RwLock<HashMap<IndicatorKey, Entry>>;
 
 /// The concurrent indicator store.
 pub struct ShardedStore {
     shards: Vec<Shard>,
     generation: AtomicU64,
+}
+
+/// One machine's stored sets, read in one pass per shard, and a
+/// fingerprint of their content.
+pub(crate) struct MachineSnapshot {
+    /// The machine's sets in ascending key order.
+    sets: Vec<Arc<IndicatorSet>>,
+    /// FNV-1a over the sets' content digests in key order. Digests cover
+    /// keys, so equal fingerprints mean equal stored content.
+    fingerprint: u64,
+}
+
+impl MachineSnapshot {
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// Calibration pairs `(indicators, cycles)` in key order.
+    pub(crate) fn training_pairs(&self) -> Vec<(Indicators, f64)> {
+        pairs_of(&self.sets)
+    }
+}
+
+fn pairs_of(sets: &[Arc<IndicatorSet>]) -> Vec<(Indicators, f64)> {
+    sets.iter()
+        .map(|s| (s.indicators.clone(), s.cycles))
+        .collect()
 }
 
 impl ShardedStore {
@@ -60,11 +105,16 @@ impl ShardedStore {
         &self.shards[idx]
     }
 
-    /// Stores (or replaces) a set, bumping the generation.
+    /// Stores (or replaces) a set, bumping the generation. The set's
+    /// digest is left for its first reader to compute.
     pub fn put(&self, set: IndicatorSet) -> PutReply {
         let shard = self.shard_of(&set.key);
+        let entry = Entry {
+            set: Arc::new(set),
+            digest: OnceLock::new(),
+        };
         let mut map = shard.write().unwrap_or_else(|p| p.into_inner());
-        let replaced = map.insert(set.key.clone(), Arc::new(set)).is_some();
+        let replaced = map.insert(entry.set.key.clone(), entry).is_some();
         let generation = self.generation.fetch_add(1, SeqCst) + 1;
         PutReply {
             replaced,
@@ -75,7 +125,7 @@ impl ShardedStore {
     /// Exact-key lookup.
     pub fn get(&self, key: &IndicatorKey) -> Option<Arc<IndicatorSet>> {
         let map = self.shard_of(key).read().unwrap_or_else(|p| p.into_inner());
-        map.get(key).cloned()
+        map.get(key).map(|entry| Arc::clone(&entry.set))
     }
 
     /// All sets matching the filter, sorted by key.
@@ -92,10 +142,10 @@ impl ShardedStore {
         let mut out: Vec<Vec<Arc<IndicatorSet>>> = vec![Vec::new(); queries.len()];
         for shard in &self.shards {
             let map = shard.read().unwrap_or_else(|p| p.into_inner());
-            for (key, set) in map.iter() {
+            for (key, entry) in map.iter() {
                 for (qi, q) in queries.iter().enumerate() {
                     if q.matches(key) {
-                        out[qi].push(Arc::clone(set));
+                        out[qi].push(Arc::clone(&entry.set));
                     }
                 }
             }
@@ -124,10 +174,31 @@ impl ShardedStore {
     /// the transfer fit's greedy feature selection is order-sensitive, so
     /// a fixed order makes server-side fits reproducible by clients.
     pub fn training_pairs(&self, machine: &str) -> Vec<(Indicators, f64)> {
-        self.query(&QueryReq::machine(machine))
-            .into_iter()
-            .map(|s| (s.indicators.clone(), s.cycles))
-            .collect()
+        pairs_of(&self.query(&QueryReq::machine(machine)))
+    }
+
+    /// Every set stored for `machine`, in ascending key order, with the
+    /// fingerprint of that content — one read lock per shard. Digests not
+    /// yet known are computed under the read lock, once per stored set.
+    pub(crate) fn machine_snapshot(&self, machine: &str) -> MachineSnapshot {
+        let mut found: Vec<(Arc<IndicatorSet>, u64)> = Vec::new();
+        for shard in &self.shards {
+            let map = shard.read().unwrap_or_else(|p| p.into_inner());
+            for (key, entry) in map.iter() {
+                if key.machine == machine {
+                    found.push((Arc::clone(&entry.set), entry.digest()));
+                }
+            }
+        }
+        found.sort_by(|a, b| a.0.key.cmp(&b.0.key));
+        let mut bytes = Vec::with_capacity(found.len() * 8);
+        for (_, digest) in &found {
+            bytes.extend_from_slice(&digest.to_le_bytes());
+        }
+        MachineSnapshot {
+            fingerprint: fnv1a64(&bytes),
+            sets: found.into_iter().map(|(set, _)| set).collect(),
+        }
     }
 }
 
@@ -219,5 +290,66 @@ mod tests {
         assert_eq!(pairs.len(), 3);
         let costs: Vec<f64> = pairs.iter().map(|(_, c)| *c).collect();
         assert_eq!(costs, vec![1.0e6 + 2.0, 1.0e6 + 5.0, 1.0e6 + 9.0]);
+    }
+
+    #[test]
+    fn machine_snapshot_is_key_ordered_and_matches_training_pairs() {
+        let store = ShardedStore::new(4);
+        for param in [9, 2, 5] {
+            store.put(sample_set("dl580", "stream", param));
+            store.put(sample_set("ring", "stride", param));
+        }
+        let snap = store.machine_snapshot("dl580");
+        let params: Vec<u64> = snap.sets.iter().map(|s| s.key.param).collect();
+        assert_eq!(params, vec![2, 5, 9]);
+        assert_eq!(snap.training_pairs(), store.training_pairs("dl580"));
+        assert!(store.machine_snapshot("absent").sets.is_empty());
+    }
+
+    #[test]
+    fn fingerprint_follows_content_not_writes() {
+        let store = ShardedStore::new(4);
+        for param in 0..4 {
+            store.put(sample_set("dl580", "stream", param));
+        }
+        let before = store.machine_snapshot("dl580").fingerprint();
+        // Re-publishing identical content or writing another machine
+        // leaves the fingerprint alone, though both bump the generation.
+        store.put(sample_set("dl580", "stream", 2));
+        store.put(sample_set("ring", "stride", 2));
+        assert_eq!(store.generation(), 6);
+        assert_eq!(store.machine_snapshot("dl580").fingerprint(), before);
+        // A content change moves it; restoring the content restores it.
+        let mut changed = sample_set("dl580", "stream", 2);
+        changed.cycles += 1.0;
+        store.put(changed);
+        assert_ne!(store.machine_snapshot("dl580").fingerprint(), before);
+        store.put(sample_set("dl580", "stream", 2));
+        assert_eq!(store.machine_snapshot("dl580").fingerprint(), before);
+        // So does adding a set.
+        store.put(sample_set("dl580", "stream", 4));
+        assert_ne!(store.machine_snapshot("dl580").fingerprint(), before);
+    }
+
+    #[test]
+    fn put_leaves_the_digest_to_its_first_reader() {
+        let store = ShardedStore::new(1);
+        store.put(sample_set("dl580", "stream", 1));
+        let digest_known = |store: &ShardedStore| {
+            let map = store.shards[0].read().unwrap();
+            map.values().all(|entry| entry.digest.get().is_some())
+        };
+        assert!(!digest_known(&store));
+        store.machine_snapshot("dl580");
+        assert!(digest_known(&store));
+        assert_eq!(
+            store.shards[0]
+                .read()
+                .unwrap()
+                .values()
+                .next()
+                .map(Entry::digest),
+            Some(sample_set("dl580", "stream", 1).digest())
+        );
     }
 }

@@ -77,3 +77,29 @@ fn live_server_roundtrip_and_loadgen() {
 
     handle.stop();
 }
+
+/// Calibrations are cached by training content, so a second run with the
+/// same seed against the same server finds its cold predict warm. The
+/// check stays, and its error names the cause and the way out.
+#[test]
+fn a_repeat_run_with_the_same_seed_is_refused_with_its_cause() {
+    let server = ExchangeServer::new(8, 64).with_workers(2);
+    let listener = ExchangeServer::bind().expect("bind");
+    let handle = server.start(listener).expect("start");
+    let config = LoadgenConfig {
+        addr: handle.addr().to_string(),
+        clients: 2,
+        frames_per_client: 3,
+        seed: 11,
+    };
+    loadgen::run(&config).expect("first run");
+    let err = loadgen::run(&config).expect_err("a repeat run's cold predict is warm");
+    let msg = err.to_string();
+    assert!(msg.contains("first predict reported as cached"), "{msg}");
+    assert!(msg.contains("long-lived server"), "{msg}");
+    assert!(msg.contains("another --seed"), "{msg}");
+    assert!(msg.contains("fresh server"), "{msg}");
+    // Another seed publishes other content, so its cold predict misses.
+    loadgen::run(&LoadgenConfig { seed: 12, ..config }).expect("run with another seed");
+    handle.stop();
+}

@@ -10,7 +10,7 @@
 //! reference LRU model, which is exactly what "deterministic eviction"
 //! promises: the cache is a function of the access sequence.
 
-use np_serve::cache::{CacheKey, CachedCost, PredictionCache};
+use np_serve::cache::{CacheKey, PredictionCache};
 use np_serve::proto::{IndicatorKey, IndicatorSet, QueryReq};
 use np_serve::store::ShardedStore;
 use np_simulator::HwEvent;
@@ -172,21 +172,23 @@ impl RefLru {
     }
 }
 
-fn cache_key(digest: u64) -> CacheKey {
+fn cache_key(fingerprint: u64) -> CacheKey {
     CacheKey {
-        digest,
         target: "dl580".to_string(),
+        fingerprint,
         model: "transfer-linear-v1".to_string(),
-        generation: 9,
     }
 }
 
-fn cached(digest: u64) -> CachedCost {
-    CachedCost {
-        cost: digest as f64 * 3.5,
-        r_squared: 1.0,
-        features: vec!["L1dMiss".to_string()],
-        training_sets: 12,
+/// A stand-in cached value: eviction never looks at values.
+#[derive(Clone)]
+struct Cached {
+    cost: f64,
+}
+
+fn cached(fingerprint: u64) -> Cached {
+    Cached {
+        cost: fingerprint as f64 * 3.5,
     }
 }
 
@@ -202,7 +204,7 @@ proptest! {
         ops in proptest::collection::vec(op(), 0..120),
         cap in 1usize..6,
     ) {
-        let cache = PredictionCache::new(cap);
+        let cache: PredictionCache<Cached> = PredictionCache::new(cap);
         let mut reference = RefLru { cap, order: Vec::new() };
         for o in &ops {
             match *o {

@@ -130,9 +130,19 @@ fn write_seq(
     out.push(close);
 }
 
+/// Deepest array/object nesting [`parse_value`] accepts. The parser
+/// recurses once per level, so without a bound a small document of
+/// nothing but `[` would overflow the parsing thread's stack and abort
+/// the process; real serde_json stops at the same depth.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document (trailing non-whitespace is an error).
 pub fn parse_value(json: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: json.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: json.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -145,6 +155,8 @@ pub fn parse_value(json: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -182,8 +194,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -191,6 +203,18 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, Error> {
@@ -382,6 +406,28 @@ mod tests {
         assert!(parse_value("{\"a\": }").is_err());
         assert!(parse_value("[1, 2,]").is_err());
         assert!(parse_value("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            open.repeat(depth) + "0" + &close.repeat(depth)
+        };
+        assert!(parse_value(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nest("[{\"a\":", "}]", MAX_DEPTH / 2)).is_ok());
+        for doc in [
+            nest("[", "]", MAX_DEPTH + 1),
+            nest("{\"a\":", "}", MAX_DEPTH + 1),
+            nest("[{\"a\":", "}]", MAX_DEPTH),
+        ] {
+            let err = parse_value(&doc).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
+        // Deep enough to overflow a 2 MiB stack were the depth unbounded:
+        // the parser stops at the limit instead.
+        let err = parse_value(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.to_string().contains("at byte 128"), "{err}");
     }
 
     #[test]

@@ -42,6 +42,9 @@ cargo test -q --offline
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace --offline
 
+echo "== benchmark package tests (own workspace under benchmark/) =="
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== determinism matrix under varied harness threads =="
 cargo test -q --offline --test integration_parallel -- --test-threads 1
 cargo test -q --offline --test integration_parallel -- --test-threads 8

@@ -471,25 +471,33 @@ WIRE PROTOCOL (versioned, line-delimited JSON):
              target's stored (indicators, cycles) pairs and evaluates
              the source indicators — deterministic, so clients can
              re-derive and audit the answer
-    stats    store/cache/generation counters
+    stats    store/cache/generation counters (the generation counts
+             puts; the cache does not key on it)
 
 CONCURRENCY:
     The store is N-sharded (per-shard RwLock, FNV key routing): writers
     only contend with readers of their own shard. Connections are
     handed to a fixed worker pool, so one slow client cannot starve the
-    accept loop. Predictions go through a deterministic LRU cache keyed
-    by (content digest, target machine, model, store generation) — any
-    put bumps the generation, so stale costs are unservable.
+    accept loop. Calibrated models go through a deterministic LRU
+    prediction cache keyed by (target machine, fingerprint of the
+    target's stored content, model): every source priced on a target
+    shares one fit, a put that re-publishes identical content or
+    writes another machine invalidates nothing, and any real change to
+    the target's content yields a new key, so a stale model is
+    unservable. A predict reply's `cached` flag says the model came
+    from the cache.
 
 HARDENING (np-resilience):
-    bounded frame reads, socket deadlines, typed error frames instead
-    of dropped connections, and scripted fault sites `serve.accept` /
-    `serve.response` for the nightly fault matrix.
+    bounded frame reads, a 128-level JSON nesting limit, socket
+    deadlines, typed error frames instead of dropped connections, and
+    scripted fault sites `serve.accept` / `serve.response` for the
+    nightly fault matrix.
 
 TELEMETRY (with --telemetry FILE):
     span.serve.{put,query,predict,stats}   per-endpoint latency
     serve.inflight                         connections being served
     serve.cache.{hit,miss,evict}           prediction-cache traffic
+    serve.model.fits                       model calibrations (cache misses)
     serve.faults.* / serve.errors          injected faults, IO failures
 "
 }
@@ -527,6 +535,14 @@ SMOKE GATE (--smoke, used by CI):
     errors == 0, cache hits observed, transfer audit passed. Latency
     and speedup numbers are reported, never gated — they are hardware-
     dependent and would flake in CI.
+
+REPEAT RUNS:
+    The server caches calibrated models by training content. A second
+    run with the same --seed against the same long-lived --addr server
+    publishes the same sets, finds their model already cached and fails
+    with 'first predict reported as cached'. Pass another --seed or
+    restart the server. Runs without --addr boot a fresh server and
+    are unaffected.
 "
 }
 
@@ -831,7 +847,13 @@ mod tests {
         for term in ["put", "query", "predict", "serve.accept", "serve.cache"] {
             assert!(super::serve_help().contains(term), "missing term {term}");
         }
-        for term in ["--smoke", "BENCH_serve.json", "audit", "cache speedup"] {
+        for term in [
+            "--smoke",
+            "BENCH_serve.json",
+            "audit",
+            "cache speedup",
+            "first predict reported as cached",
+        ] {
             assert!(super::loadgen_help().contains(term), "missing term {term}");
         }
     }

@@ -14,10 +14,13 @@ use np_resilience::{Fault, RetryPolicy, ScriptedFaults, StreamDeadlines};
 use np_serve::client::{ClientError, ClientLimits, ExchangeClient};
 use np_serve::proto::{
     IndicatorKey, IndicatorSet, PredictReq, QueryReq, Request, RequestFrame, Response,
+    ResponseFrame,
 };
 use np_serve::server::ExchangeServer;
 use np_simulator::HwEvent;
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -228,4 +231,52 @@ fn fault_matrix_every_fault_recovers_or_errors_typed() {
     assert!(counter("serve.frames") > 0, "served frames not counted");
     assert!(counter("serve.queries") > 0);
     assert!(counter("serve.predicts") > 0);
+}
+
+/// A frame of nothing but `[` nests far past what a thread stack holds
+/// when parsed by plain recursion. Well inside the frame limit, it must
+/// earn a typed error frame, and the same connection must then be served
+/// normally. It neither toggles nor reads telemetry, so it can run beside
+/// the matrix above.
+#[test]
+fn nested_bracket_frame_gets_a_typed_error_and_the_server_lives_on() {
+    let server = ExchangeServer::new(4, 16).with_workers(1);
+    for param in 0..SETS {
+        server.store().put(seed_set(param));
+    }
+    let handle = server.start(ExchangeServer::bind().unwrap()).unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut exchange = move |line: String| -> ResponseFrame {
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        serde_json::from_str(reply.trim()).unwrap()
+    };
+
+    let hostile = exchange("[".repeat(64 * 1024));
+    assert!(hostile.degraded);
+    assert!(
+        matches!(&hostile.responses[..], [Response::Error(e)]
+            if e.contains("malformed frame") && e.contains("nesting")),
+        "{:?}",
+        hostile.responses
+    );
+
+    let frame = RequestFrame::new(vec![Request::Query(QueryReq::machine(MACHINE))]);
+    let normal = exchange(serde_json::to_string(&frame).unwrap());
+    assert!(!normal.degraded);
+    assert!(
+        matches!(&normal.responses[..], [Response::Sets(s)] if s.sets.len() == SETS as usize),
+        "{:?}",
+        normal.responses
+    );
+
+    drop(exchange); // closes the connection, freeing the only worker
+    handle.stop();
 }
