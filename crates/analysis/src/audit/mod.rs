@@ -1,17 +1,20 @@
 //! # np audit — workspace concurrency & determinism static analysis
 //!
-//! The promotion of `np lint`'s token scanner into a real (still
-//! dependency-free) analysis subsystem. The pipeline:
+//! The workspace's one static source analyzer: a token scan (no `syn`,
+//! no `rustc` plumbing, zero dependencies) for the cross-crate
+//! invariants the type system cannot express. The pipeline:
 //!
 //! ```text
-//! lexer (shared with lint) -> per-file fn index -> approximate call graph
-//!   -> six rules -> inline allows -> baseline suppressions -> JSON/SARIF
+//! blanking lexer -> per-file fn index -> approximate call graph
+//!   -> nine rules -> inline allows -> baseline suppressions -> JSON/SARIF
 //! ```
 //!
 //! - [`index`] — per-file `fn` items (spans, calls, `audit:hot` marks).
 //! - [`callgraph`] — crate-aware name-matched call edges + bounded BFS.
 //! - [`rules`] — lock-order cycles, condvar discipline, atomics
-//!   orderings, hot-path hygiene, unsafe inventory, panic reachability.
+//!   orderings, hot-path hygiene, unsafe inventory, panic reachability,
+//!   and the line-local rules: bounded socket reads, guarded telemetry,
+//!   no wall clocks in deterministic code.
 //! - [`baseline`] — the committed suppression file gating only *new*
 //!   findings; stale entries surface as warnings.
 //! - [`sarif`] — SARIF 2.1.0 output for CI annotation.
@@ -34,10 +37,9 @@ pub use index::WorkspaceIndex;
 pub use rules::UnsafeSite;
 
 use crate::lexer::marker_allows;
-use crate::lint::escape_json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// One audit finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,6 +228,7 @@ pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline) -> Audit
     rules::hot_path(&ws, &mut findings);
     let unsafe_sites = rules::unsafe_safety(&ws, &mut findings);
     rules::panic_reachable(&ws, &graph, &mut findings);
+    rules::line_rules(&ws, &mut findings);
 
     // Inline waivers: `// audit:allow(<rule>)` on the offending line.
     let by_path: BTreeMap<&str, usize> = ws
@@ -239,7 +242,7 @@ pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline) -> Audit
             .get(f.path.as_str())
             .map(|&fi| &ws.files[fi])
             .filter(|file| f.line >= 1 && f.line <= file.lexed.len())
-            .is_none_or(|file| !marker_allows(file.lexed.raw(f.line - 1), "audit", f.rule))
+            .is_none_or(|file| !marker_allows(file.lexed.raw(f.line - 1), f.rule))
     });
 
     findings.sort_by(|a, b| {
@@ -259,12 +262,75 @@ pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline) -> Audit
     report
 }
 
-/// Audits the workspace rooted at `root`: the same file set as
-/// `np lint` — `src/` and `crates/*/src/`, vendored shims excluded,
-/// sorted paths.
+/// Audits the workspace rooted at `root`: every `.rs` under `src/` and
+/// `crates/*/src/`, vendored shims excluded. Tests, benches and examples
+/// are out of scope by construction.
 pub fn audit_workspace(root: &Path, baseline: &Baseline) -> std::io::Result<AuditReport> {
-    let sources = crate::lint::workspace_sources(root)?;
-    Ok(audit_sources(&sources, baseline))
+    Ok(audit_sources(&workspace_sources(root)?, baseline))
+}
+
+/// The `(relative path, source)` pairs [`audit_workspace`] scans, in
+/// sorted path order (the determinism anchor).
+fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut files = Vec::new();
+    let top_src = root.join("src");
+    if top_src.is_dir() {
+        collect_rs(&top_src, &mut files)?;
+    }
+    let crates_dir = root.join("crates");
+    if crates_dir.is_dir() {
+        for entry in std::fs::read_dir(&crates_dir)? {
+            let c = entry?.path();
+            let src = c.join("src");
+            if src.is_dir() && c.file_name().is_some_and(|n| n != "shims") {
+                collect_rs(&src, &mut files)?;
+            }
+        }
+    }
+    files.sort();
+    let mut out = Vec::with_capacity(files.len());
+    for f in &files {
+        let rel = f
+            .strip_prefix(root)
+            .unwrap_or(f)
+            .components()
+            .map(|c| c.as_os_str().to_string_lossy())
+            .collect::<Vec<_>>()
+            .join("/");
+        out.push((rel, std::fs::read_to_string(f)?));
+    }
+    Ok(out)
+}
+
+/// Recursively collects `.rs` files under `dir` into `out`.
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let p = entry?.path();
+        if p.is_dir() {
+            collect_rs(&p, out)?;
+        } else if p.extension().is_some_and(|e| e == "rs") {
+            out.push(p);
+        }
+    }
+    Ok(())
+}
+
+/// Escapes `s` for a JSON string literal (the report and SARIF writers).
+pub(crate) fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -319,6 +385,51 @@ mod tests {
         assert!(a.to_json().starts_with("{\"version\":\"np-audit/1\""));
         assert_eq!(a.unsafe_sites.len(), 1);
         assert!(a.inventory_markdown().contains("**MISSING**"));
+    }
+
+    #[test]
+    fn json_escapes_paths_and_messages() {
+        let report = AuditReport {
+            findings: vec![AuditFinding {
+                rule: "no-panic-reachable",
+                path: "a\"b.rs".into(),
+                line: 7,
+                message: "tab\there\\".into(),
+                suppressed: false,
+            }],
+            files_scanned: 3,
+            ..AuditReport::default()
+        };
+        let json = report.to_json();
+        assert!(json.contains("\"files_scanned\":3"), "{json}");
+        assert!(json.contains("\"path\":\"a\\\"b.rs\""), "{json}");
+        assert!(json.contains("tab\\there\\\\"), "{json}");
+        assert_eq!(escape_json("\u{1}\n"), "\\u0001\\n");
+        assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn workspace_scan_covers_the_serve_crate() {
+        let root = std::env::temp_dir().join(format!("np-audit-serve-{}", std::process::id()));
+        let src_dir = root.join("crates").join("serve").join("src");
+        std::fs::create_dir_all(&src_dir).unwrap();
+        std::fs::write(
+            src_dir.join("lib.rs"),
+            "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        )
+        .unwrap();
+        let report = audit_workspace(&root, &Baseline::empty()).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(report.files_scanned, 1);
+        let got: Vec<_> = report
+            .findings
+            .iter()
+            .map(|f| (f.path.as_str(), f.rule, f.line))
+            .collect();
+        assert_eq!(
+            got,
+            vec![("crates/serve/src/lib.rs", "no-panic-reachable", 1)]
+        );
     }
 
     #[test]

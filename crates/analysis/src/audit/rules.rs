@@ -1,12 +1,13 @@
-//! The six audit rules.
+//! The nine audit rules.
 //!
 //! Each rule is a pure function of the [`WorkspaceIndex`] (and, for
 //! reachability, the [`CallGraph`]) pushing [`AuditFinding`]s. The rules
 //! target the invariants the bench harness and the measurement stack
 //! rely on: no lock-order inversions, condvar discipline (the wakeup-
 //! storm shape), explicit atomics orderings, allocation/locking-free hot
-//! paths, justified unsafe, and panic-free call trees under the probe /
-//! serve / acquisition entry points.
+//! paths, justified unsafe, panic-free call trees under the probe /
+//! serve / acquisition entry points, bounded socket reads, guarded
+//! telemetry, and no wall clocks in deterministic code.
 
 use super::callgraph::{CallGraph, FnId};
 use super::index::{FileIndex, FnItem, WorkspaceIndex};
@@ -37,11 +38,23 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "no-panic-reachable",
-        "unwrap/expect/panic reachable from a server/probe/acquisition entry point through the approximate call graph.",
+        "unwrap/expect/panic in a server/probe/acquisition entry file, or reachable from one through the approximate call graph.",
+    ),
+    (
+        "bounded-reads",
+        "Raw socket read in a file that touches TcpStream; go through np_resilience::io::read_line_bounded.",
+    ),
+    (
+        "guarded-telemetry",
+        "Telemetry or time-series sampling call outside crates/telemetry without an enabled() guard in the enclosing fn.",
+    ),
+    (
+        "no-wall-clock",
+        "Instant::now()/SystemTime::now() in a deterministic path (simulator, fault plan, pool, sampler, np top, bench harness, pattern classifier).",
     ),
 ];
 
-/// Panic tokens (shared shape with `lint`'s `no-panic`).
+/// Tokens that panic when reached.
 pub const PANIC_TOKENS: &[&str] = &[
     ".unwrap()",
     ".expect(",
@@ -51,7 +64,10 @@ pub const PANIC_TOKENS: &[&str] = &[
     "unimplemented!",
 ];
 
-/// Files whose fns are panic-reachability roots, by exact path…
+/// Files whose non-test code must be panic-free and whose fns are the
+/// panic-reachability roots, by exact path: they sit under the
+/// fault-injection and acquisition loops, where a panic aborts a whole
+/// measurement campaign instead of surfacing a typed error…
 pub const ENTRY_FILES: &[&str] = &[
     "crates/core/src/memhist/probe.rs",
     "crates/resilience/src/io.rs",
@@ -59,7 +75,9 @@ pub const ENTRY_FILES: &[&str] = &[
     "crates/counters/src/pebs.rs",
 ];
 
-/// …and by prefix (the whole serve crate answers live traffic).
+/// …and by prefix: the whole serve crate answers live traffic, and a
+/// panic on its request path kills a pool worker and silently drops
+/// every connection it would have served.
 pub const ENTRY_PREFIXES: &[&str] = &["crates/serve/src/"];
 
 /// Call-graph traversal bound for `no-panic-reachable`: beyond a few hops
@@ -437,28 +455,23 @@ fn contains_word(code: &str, word: &str) -> bool {
 
 /// Rule 3: atomics orderings.
 pub fn atomics(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
-    // (a) Relaxed stays a telemetry-internal liberty (generalises lint's
-    // rule to the audit's gate).
+    // (a) Relaxed stays a telemetry-internal liberty, on every non-test
+    // line: statics and closures outside any fn body count too.
     for file in &ws.files {
         if file.path.starts_with("crates/telemetry/") {
             continue;
         }
-        for f in &file.fns {
-            if f.is_test {
-                continue;
-            }
-            for line in f.start_line..=f.end_line.min(file.lexed.len().saturating_sub(1)) {
-                if file.lexed.code(line).contains("Ordering::Relaxed") {
-                    findings.push(AuditFinding {
-                        rule: "atomics-ordering",
-                        path: file.path.clone(),
-                        line: line + 1,
-                        message: "Ordering::Relaxed outside crates/telemetry; use SeqCst or move \
-                                  the atomic behind the telemetry facade"
-                            .to_string(),
-                        suppressed: false,
-                    });
-                }
+        for (idx, code) in file.lexed.code_lines.iter().enumerate() {
+            if !file.lexed.is_test(idx) && code.contains("Ordering::Relaxed") {
+                findings.push(AuditFinding {
+                    rule: "atomics-ordering",
+                    path: file.path.clone(),
+                    line: idx + 1,
+                    message: "Ordering::Relaxed outside crates/telemetry; use SeqCst or move \
+                              the atomic behind the telemetry facade"
+                        .to_string(),
+                    suppressed: false,
+                });
             }
         }
     }
@@ -665,14 +678,33 @@ pub fn unsafe_safety(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) -> V
     sites
 }
 
-/// Rule 6: panic tokens reachable from server/probe/acquisition entry
-/// points through the call graph, outside the entry files themselves
-/// (lint's `no-panic` covers those directly).
+/// Rule 6: panic tokens on any non-test line of a server/probe/
+/// acquisition entry file (depth 0), or in a fn reachable from one of
+/// the entry files' fns through the call graph.
 pub fn panic_reachable(ws: &WorkspaceIndex, graph: &CallGraph, findings: &mut Vec<AuditFinding>) {
     let mut roots: Vec<FnId> = Vec::new();
     for (fi, file) in ws.files.iter().enumerate() {
         if !is_entry_file(&file.path) {
             continue;
+        }
+        for (idx, code) in file.lexed.code_lines.iter().enumerate() {
+            if file.lexed.is_test(idx) {
+                continue;
+            }
+            for tok in PANIC_TOKENS {
+                if code.contains(tok) {
+                    findings.push(AuditFinding {
+                        rule: "no-panic-reachable",
+                        path: file.path.clone(),
+                        line: idx + 1,
+                        message: format!(
+                            "`{tok}` in a server/probe/acquisition entry file; a panic here \
+                             aborts the serving/measurement path — return a typed error instead"
+                        ),
+                        suppressed: false,
+                    });
+                }
+            }
         }
         for (ki, f) in file.fns.iter().enumerate() {
             if !f.is_test {
@@ -683,10 +715,8 @@ pub fn panic_reachable(ws: &WorkspaceIndex, graph: &CallGraph, findings: &mut Ve
     let reached = graph.reachable(&roots, REACH_DEPTH);
     let mut seen: BTreeSet<(String, usize, &str)> = BTreeSet::new();
     for (&(fi, ki), &(depth, root)) in &reached {
-        if depth == 0 {
-            continue; // the entry files are lint's no-panic scope
-        }
         let file = &ws.files[fi];
+        // Entry files (every depth-0 root among them) were scanned whole.
         if is_entry_file(&file.path) {
             continue;
         }
@@ -717,6 +747,114 @@ pub fn panic_reachable(ws: &WorkspaceIndex, graph: &CallGraph, findings: &mut Ve
                         suppressed: false,
                     });
                 }
+            }
+        }
+    }
+}
+
+/// The one file allowed to call raw socket reads (it defines the bounded
+/// line reader everything else must use).
+const BOUNDED_READER_FILE: &str = "crates/resilience/src/io.rs";
+
+/// Deterministic paths that must not observe wall clocks: the simulator
+/// (seeded reproducibility), the fault plan (seeded schedules), the
+/// worker pool (its merge order and traces must never branch on timing;
+/// durations flow through `np_telemetry::now_ns` for reporting only),
+/// the time-series sampler (captures are timestamped in simulated
+/// cycles — a wall-clock read there would break byte-identical
+/// captures), `np top` (its pacing comes from `thread::sleep` and
+/// the tick counter; rates are deltas of simulated-cycle series), the
+/// `np bench` matrix harness (its determinism contract says every
+/// non-sample field is a pure function of config + seed + machine;
+/// wall-time samples flow through `np_telemetry::now_ns` only), and the
+/// np-patterns classifier (its `np-patterns/1` document promises
+/// byte-identical verdicts at any thread count — nothing on the
+/// classify path may branch on time).
+fn wall_clock_forbidden(path: &str) -> bool {
+    path.starts_with("crates/numa-sim/")
+        || path.starts_with("crates/parallel/src/")
+        || path.starts_with("crates/bench/src/harness/")
+        || path.starts_with("crates/patterns/src/")
+        || path == "crates/resilience/src/fault.rs"
+        || path == "crates/telemetry/src/timeseries.rs"
+        || path == "src/cli/top.rs"
+}
+
+/// Rules 7–9, the line-local rules, over every non-test line:
+/// `bounded-reads` (raw socket reads in a file that touches
+/// `TcpStream`), `guarded-telemetry` (facade or sampler calls outside
+/// crates/telemetry need an `enabled(` check on the line or earlier in
+/// the enclosing fn) and `no-wall-clock` (see [`wall_clock_forbidden`]).
+pub fn line_rules(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
+    for file in &ws.files {
+        let path = file.path.as_str();
+        let code_lines = &file.lexed.code_lines;
+        let uses_tcp =
+            path != BOUNDED_READER_FILE && code_lines.iter().any(|l| l.contains("TcpStream"));
+        let in_telemetry = path.starts_with("crates/telemetry/");
+        let no_wall_clock = wall_clock_forbidden(path);
+        let mut report = |idx: usize, rule: &'static str, message: &str| {
+            findings.push(AuditFinding {
+                rule,
+                path: file.path.clone(),
+                line: idx + 1,
+                message: message.to_string(),
+                suppressed: false,
+            });
+        };
+        for (idx, code) in code_lines.iter().enumerate() {
+            if file.lexed.is_test(idx) {
+                continue;
+            }
+
+            if uses_tcp
+                && (code.contains(".read(")
+                    || code.contains("read_to_string(")
+                    || code.contains("read_to_end("))
+                && !code.contains("read_line_bounded")
+            {
+                report(
+                    idx,
+                    "bounded-reads",
+                    "raw socket read; use np_resilience::io::read_line_bounded so a slow peer \
+                     cannot wedge or balloon the client",
+                );
+            }
+
+            // Hot-path telemetry: both the metrics facade and the
+            // time-series sampler must be skipped when observation is
+            // off. The guard may sit on the line or on any line back to
+            // the nearest `fn` header; the sampler's gate is
+            // `sampling_enabled(`, which satisfies the same check.
+            let hot_telemetry = code.contains("np_telemetry::global()")
+                || code.contains("np_telemetry::sample")
+                || code.contains("timeseries::sample");
+            if !in_telemetry && hot_telemetry {
+                let guarded = code.contains("enabled(")
+                    || code_lines[..idx]
+                        .iter()
+                        .rev()
+                        .find(|l| l.contains("enabled(") || l.contains("fn "))
+                        .is_some_and(|l| l.contains("enabled("));
+                if !guarded {
+                    report(
+                        idx,
+                        "guarded-telemetry",
+                        "telemetry or time-series sampling without an enabled() guard in the \
+                         enclosing fn; hot paths must skip disabled observation",
+                    );
+                }
+            }
+
+            if no_wall_clock
+                && (code.contains("Instant::now()") || code.contains("SystemTime::now()"))
+            {
+                report(
+                    idx,
+                    "no-wall-clock",
+                    "wall-clock read in a deterministic path; thread time through the seeded \
+                     simulator clock",
+                );
             }
         }
     }

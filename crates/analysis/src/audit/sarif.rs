@@ -1,15 +1,14 @@
 //! SARIF 2.1.0 serialisation of an [`AuditReport`].
 //!
 //! Hand-written like the rest of the workspace's JSON (no serde in the
-//! tree): one `run`, the six rules declared up front, one `result` per
+//! tree): one `run`, every rule declared up front, one `result` per
 //! finding. Suppressed findings are emitted with an `external`
 //! suppression object so SARIF viewers show the gate exactly as the CLI
 //! applies it. Output is deterministic: findings arrive pre-sorted from
 //! the report and field order is fixed by construction.
 
 use super::rules::RULES;
-use super::AuditReport;
-use crate::lint::escape_json;
+use super::{escape_json, AuditReport};
 use std::fmt::Write as _;
 
 /// SARIF schema/version pinned by the report.

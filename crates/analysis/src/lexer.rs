@@ -1,11 +1,10 @@
-//! The shared token-blanking lexer behind `np lint` and `np audit`.
+//! The token-blanking lexer behind `np audit`.
 //!
-//! Both scanners work on *blanked* source: comments, string literals and
-//! char literals become spaces (newlines survive, so line numbers stay
-//! aligned), and `#[cfg(test)]` modules are marked exempt. Extracting the
-//! state machine here means the two passes can never disagree about what
-//! counts as code — a prose `.unwrap()` that lint ignores is invisible to
-//! every audit rule too, byte for byte.
+//! Every audit rule works on *blanked* source: comments, string literals
+//! and char literals become spaces (newlines survive, so line numbers
+//! stay aligned), and `#[cfg(test)]` modules are marked exempt. Lexing
+//! once per file means no two rules can disagree about what counts as
+//! code — a prose `.unwrap()` is invisible to every rule, byte for byte.
 
 /// One source file, lexed once and shared by every rule.
 #[derive(Debug, Clone)]
@@ -211,14 +210,13 @@ pub fn test_module_lines(blanked: &str) -> Vec<bool> {
     in_test
 }
 
-/// Whether `raw_line` carries an allow marker for `rule` under `tool`
-/// ("lint" or "audit"): `// <tool>:allow(<rule>): why`.
-pub fn marker_allows(raw_line: &str, tool: &str, rule: &str) -> bool {
-    let needle = format!("{tool}:allow(");
+/// Whether `raw_line` carries an allow marker for `rule`:
+/// `// audit:allow(<rule>): why`.
+pub fn marker_allows(raw_line: &str, rule: &str) -> bool {
+    const NEEDLE: &str = "audit:allow(";
     raw_line
-        .find(&needle)
-        .map(|p| raw_line[p + needle.len()..].starts_with(rule))
-        .unwrap_or(false)
+        .find(NEEDLE)
+        .is_some_and(|p| raw_line[p + NEEDLE.len()..].starts_with(rule))
 }
 
 /// Per-line brace depth *at line start*, relative to the first line given
@@ -274,11 +272,14 @@ mod tests {
     }
 
     #[test]
-    fn markers_are_tool_and_rule_scoped() {
+    fn markers_are_rule_scoped() {
         let line = "x.unwrap() // audit:allow(no-panic-reachable): startup";
-        assert!(marker_allows(line, "audit", "no-panic-reachable"));
-        assert!(!marker_allows(line, "lint", "no-panic-reachable"));
-        assert!(!marker_allows(line, "audit", "lock-order"));
+        assert!(marker_allows(line, "no-panic-reachable"));
+        assert!(!marker_allows(line, "lock-order"));
+        assert!(!marker_allows(
+            "x.unwrap() // no-panic-reachable",
+            "no-panic-reachable"
+        ));
     }
 
     #[test]

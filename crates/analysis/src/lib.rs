@@ -11,16 +11,15 @@
 //!   supersteps.
 //! - [`bounds`] — per-event static envelopes `[min, max]` that every
 //!   dynamic run must fall into, validated differentially in CI.
-//! - [`lexer`] — the shared blanking lexer (comments/strings/`cfg(test)`
-//!   removed) that [`lint`] and [`audit`] both scan over.
-//! - [`lint`] — a token-level linter for cross-crate invariants the type
-//!   system cannot express (panic-free probe paths, bounded socket reads,
-//!   guarded telemetry, no wall clocks in deterministic code).
-//! - [`audit`] — the concurrency & determinism static-analysis pass: a
-//!   per-file item/fn index and an approximate workspace call graph feed
-//!   rules for lock-order cycles, condvar discipline, atomics orderings,
-//!   hot-path hygiene, unsafe inventory and panic reachability, gated by
-//!   a committed baseline-suppression file (JSON + SARIF output).
+//! - [`lexer`] — the blanking lexer (comments/strings/`cfg(test)`
+//!   removed) that [`audit`] scans over.
+//! - [`audit`] — the workspace's static source analyzer for the
+//!   cross-crate invariants the type system cannot express: a per-file
+//!   item/fn index and an approximate workspace call graph feed rules for
+//!   lock-order cycles, condvar discipline, atomics orderings, hot-path
+//!   hygiene, unsafe inventory, panic reachability, bounded socket reads,
+//!   guarded telemetry and wall-clock-free deterministic code, gated by a
+//!   committed baseline-suppression file (JSON + SARIF output).
 //! - [`sweep`] — the analysis fanned over many programs on an np-parallel
 //!   pool, in input order (the differential-envelope sweep of `np
 //!   analyze --all`).
@@ -34,7 +33,6 @@ pub mod barrier;
 pub mod bounds;
 pub mod cfg;
 pub mod lexer;
-pub mod lint;
 pub mod race;
 pub mod sweep;
 
@@ -42,7 +40,6 @@ pub use audit::{audit_sources, audit_workspace, AuditFinding, AuditReport, Basel
 pub use barrier::{check_barriers, DeadlockReport};
 pub use bounds::{compute as compute_bounds, priors, EventBound, EventPrior, Priors, StaticBounds};
 pub use cfg::{Block, ProgramCfg, ThreadCfg};
-pub use lint::{lint_source, lint_workspace, LintFinding, LintReport};
 pub use race::{find_races, RaceFinding};
 pub use sweep::analyze_many;
 

@@ -21,6 +21,11 @@ fn rules_fired(report: &np_analysis::AuditReport) -> Vec<&'static str> {
     rules
 }
 
+/// `(rule, line)` of every unsuppressed finding, in report order.
+fn findings(report: &np_analysis::AuditReport) -> Vec<(&'static str, usize)> {
+    report.unsuppressed().map(|f| (f.rule, f.line)).collect()
+}
+
 // ---------------------------------------------------------------- lock-order
 
 #[test]
@@ -465,20 +470,34 @@ fn panic_reachable_flags_unwrap_behind_an_entry_point() {
 }
 
 #[test]
-fn panic_reachable_ignores_uncalled_helpers_and_entry_files_themselves() {
-    let report = audit(&[
-        (
-            // Panic tokens inside the entry file are lint's `no-panic`
-            // scope, not the audit's (depth 0 is skipped).
-            "crates/serve/src/lib.rs",
+fn panic_reachable_flags_panics_in_entry_files_themselves() {
+    // Every non-test line of an entry file is in scope at depth 0, fn
+    // body or not.
+    let report = audit(&[(
+        "crates/serve/src/lib.rs",
+        concat!(
             "pub fn handle(req: u32) -> u32 { req.checked_add(1).unwrap() }\n",
+            "static LIMIT: u32 = match 1u32.checked_add(1) { Some(v) => v, None => panic!() };\n",
         ),
-        (
-            // Unreachable from any entry fn: nobody calls it.
-            "crates/util/src/lib.rs",
-            "pub fn orphan(x: Option<u32>) -> u32 { x.unwrap() }\n",
-        ),
-    ]);
+    )]);
+    assert_eq!(
+        findings(&report),
+        vec![("no-panic-reachable", 1), ("no-panic-reachable", 2)],
+        "{}",
+        report.render()
+    );
+    assert!(report
+        .unsuppressed()
+        .all(|f| f.message.contains("entry file")));
+}
+
+#[test]
+fn panic_reachable_ignores_uncalled_helpers() {
+    let report = audit(&[(
+        // Unreachable from any entry fn: nobody calls it.
+        "crates/util/src/lib.rs",
+        "pub fn orphan(x: Option<u32>) -> u32 { x.unwrap() }\n",
+    )]);
     assert!(
         !report
             .unsuppressed()
@@ -486,6 +505,237 @@ fn panic_reachable_ignores_uncalled_helpers_and_entry_files_themselves() {
         "{}",
         report.render()
     );
+}
+
+// ------------------------------------------------------------- line rules
+
+/// Golden fixture: one file tripping four rules at pinned lines, with a
+/// prose `.unwrap()` and a test-module `.unwrap()` that must stay
+/// silent. It pins the blanking lexer too: a change in how comments,
+/// strings or test modules blank shows up here as a diff instead of as
+/// silently changed findings.
+#[test]
+fn golden_line_findings_are_pinned() {
+    let serve_src = concat!(
+        "use std::net::TcpStream;\n",                                     // 1
+        "use std::sync::atomic::{AtomicU64, Ordering};\n",                // 2
+        "pub fn handle(x: Option<u32>) -> u32 {\n",                       // 3
+        "    x.unwrap()\n",                                               // 4: no-panic-reachable
+        "}\n",                                                            // 5
+        "pub fn slurp(s: &mut TcpStream, buf: &mut [u8]) {\n",            // 6
+        "    let _ = s.read(buf);\n",                                     // 7: bounded-reads
+        "}\n",                                                            // 8
+        "pub fn bump(c: &AtomicU64) {\n",                                 // 9
+        "    c.fetch_add(1, Ordering::Relaxed);\n",                       // 10: atomics-ordering
+        "}\n",                                                            // 11
+        "pub fn observe() {\n",                                           // 12
+        "    np_telemetry::global().counter(\"x\").inc();\n",             // 13: guarded-telemetry
+        "}\n",                                                            // 14
+        "// Comments and strings stay blank: .unwrap() here is prose.\n", // 15
+        "#[cfg(test)]\n",                                                 // 16
+        "mod tests {\n",                                                  // 17
+        "    #[test]\n",                                                  // 18
+        "    fn t() { Some(1).unwrap(); }\n",                             // 19: exempt
+        "}\n",                                                            // 20
+    );
+    let report = audit(&[("crates/serve/src/handler.rs", serve_src)]);
+    assert_eq!(
+        findings(&report),
+        vec![
+            ("no-panic-reachable", 4),
+            ("bounded-reads", 7),
+            ("atomics-ordering", 10),
+            ("guarded-telemetry", 13),
+        ]
+    );
+
+    let pool_src = "pub fn tick() -> std::time::Instant { std::time::Instant::now() }\n";
+    let report = audit(&[("crates/parallel/src/pool.rs", pool_src)]);
+    assert_eq!(findings(&report), vec![("no-wall-clock", 1)]);
+}
+
+/// One file audited alone: its path decides the rule scopes, and its
+/// findings must be exactly the expected `(rule, line)`, if any.
+type Case = (&'static str, &'static str, Option<(&'static str, usize)>);
+
+#[test]
+fn line_rule_scopes_are_pinned() {
+    const UNWRAP: &str = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+    const EXEMPT: &str = concat!(
+        "// calling .unwrap() here would be bad\n",
+        "fn f() -> &'static str { \"never .unwrap() in prose\" }\n",
+        "#[cfg(test)]\n",
+        "mod tests {\n",
+        "    #[test]\n",
+        "    fn t() { Some(1).unwrap(); }\n",
+        "}\n",
+    );
+    const TCP: &str = concat!(
+        "use std::net::TcpStream;\n",
+        "fn f(s: &mut TcpStream, buf: &mut [u8]) {\n",
+        "    let _ = s.read(buf);\n",
+        "}\n",
+    );
+    const TCP_ONE_LINE: &str = concat!(
+        "use std::net::TcpStream;\n",
+        "fn f(s: &mut TcpStream, buf: &mut [u8]) { let _ = s.read(buf); }\n",
+    );
+    const RELAXED: &str = "fn f(a: &std::sync::atomic::AtomicU64) { a.load(Ordering::Relaxed); }\n";
+    const RELAXED_STATIC: &str =
+        "static LOAD: fn(&AtomicU64) -> u64 = |a| a.load(Ordering::Relaxed);\n";
+    const TELEMETRY_BAD: &str = concat!(
+        "fn record() {\n",
+        "    np_telemetry::global().counter(\"x\").add(1);\n",
+        "}\n",
+    );
+    const TELEMETRY_GOOD: &str = concat!(
+        "fn record() {\n",
+        "    if np_telemetry::enabled() {\n",
+        "        np_telemetry::global().counter(\"x\").add(1);\n",
+        "    }\n",
+        "}\n",
+    );
+    const GUARD_IN_OTHER_FN: &str = concat!(
+        "fn guarded() {\n",
+        "    if np_telemetry::enabled() {}\n",
+        "}\n",
+        "fn record() {\n",
+        "    np_telemetry::global().counter(\"x\").add(1);\n",
+        "}\n",
+    );
+    const SAMPLE_BAD: &str = concat!(
+        "fn record(now: u64) {\n",
+        "    np_telemetry::timeseries::sample(\"acq.reps\", now, 1);\n",
+        "}\n",
+    );
+    const SAMPLE_GOOD: &str = concat!(
+        "fn record(now: u64) {\n",
+        "    if np_telemetry::sampling_enabled() {\n",
+        "        np_telemetry::sample_cumulative(\"x\", now, 1);\n",
+        "    }\n",
+        "}\n",
+    );
+    const UNGUARDED_SNAPSHOT: &str = "fn f() { np_telemetry::global().snapshot(); }\n";
+    const INSTANT: &str = "fn f() { let _t = std::time::Instant::now(); }\n";
+    const SYSTEM_TIME: &str = "fn f() { let _t = std::time::SystemTime::now(); }\n";
+    const ALLOWED: &str = "fn f(x: Option<u32>) -> u32 { x.unwrap() } \
+                           // audit:allow(no-panic-reachable): startup only\n";
+    const ALLOWED_OTHER: &str =
+        "fn f(x: Option<u32>) -> u32 { x.unwrap() } // audit:allow(bounded-reads)\n";
+    const NESTED_BLANKING: &str = concat!(
+        "/* outer /* inner .unwrap() */ still comment .expect( */\n",
+        "fn f() -> String { String::from(r#\"panic! \"quoted\" .unwrap()\"#) }\n",
+        "fn g(x: Option<u8>) -> u8 { x.unwrap() }\n",
+    );
+
+    const PANIC: &str = "no-panic-reachable";
+    const ATOMICS: &str = "atomics-ordering";
+    const READS: &str = "bounded-reads";
+    const GUARD: &str = "guarded-telemetry";
+    const CLOCK: &str = "no-wall-clock";
+    let cases: &[Case] = &[
+        // Panic tokens: only the entry files, tests and prose exempt.
+        (
+            "crates/counters/src/acquisition.rs",
+            UNWRAP,
+            Some((PANIC, 1)),
+        ),
+        ("crates/counters/src/catalog.rs", UNWRAP, None),
+        ("crates/resilience/src/io.rs", EXEMPT, None),
+        (
+            "crates/counters/src/pebs.rs",
+            NESTED_BLANKING,
+            Some((PANIC, 3)),
+        ),
+        ("crates/serve/src/server.rs", UNWRAP, Some((PANIC, 1))),
+        ("crates/serve/src/cache.rs", UNWRAP, Some((PANIC, 1))),
+        // Inline waivers name one rule.
+        ("crates/counters/src/pebs.rs", ALLOWED, None),
+        (
+            "crates/counters/src/pebs.rs",
+            ALLOWED_OTHER,
+            Some((PANIC, 1)),
+        ),
+        // Raw socket reads, except in the bounded reader itself.
+        ("crates/core/src/session.rs", TCP, Some((READS, 3))),
+        ("crates/resilience/src/io.rs", TCP, None),
+        ("crates/serve/src/client.rs", TCP_ONE_LINE, Some((READS, 2))),
+        // Relaxed is a telemetry-internal liberty.
+        ("crates/telemetry/src/registry.rs", RELAXED, None),
+        ("crates/core/src/runner.rs", RELAXED, Some((ATOMICS, 1))),
+        (
+            "crates/core/src/runner.rs",
+            RELAXED_STATIC,
+            Some((ATOMICS, 1)),
+        ),
+        // Telemetry and sampling need an enabled() guard outside the
+        // telemetry crate (the bench harness included).
+        ("crates/core/src/runner.rs", TELEMETRY_BAD, Some((GUARD, 2))),
+        ("crates/core/src/runner.rs", TELEMETRY_GOOD, None),
+        ("crates/telemetry/src/snapshot.rs", TELEMETRY_BAD, None),
+        // The guard search stops at the enclosing fn's header.
+        (
+            "crates/core/src/runner.rs",
+            GUARD_IN_OTHER_FN,
+            Some((GUARD, 5)),
+        ),
+        (
+            "crates/counters/src/acquisition.rs",
+            SAMPLE_BAD,
+            Some((GUARD, 2)),
+        ),
+        ("crates/counters/src/acquisition.rs", SAMPLE_GOOD, None),
+        (
+            "crates/bench/src/harness/runner.rs",
+            SAMPLE_BAD,
+            Some((GUARD, 2)),
+        ),
+        ("crates/telemetry/src/timeseries.rs", SAMPLE_BAD, None),
+        (
+            "crates/patterns/src/verify.rs",
+            UNGUARDED_SNAPSHOT,
+            Some((GUARD, 1)),
+        ),
+        // Wall clocks: forbidden in the deterministic paths only.
+        ("crates/numa-sim/src/engine.rs", INSTANT, Some((CLOCK, 1))),
+        ("crates/resilience/src/retry.rs", INSTANT, None),
+        (
+            "crates/telemetry/src/timeseries.rs",
+            INSTANT,
+            Some((CLOCK, 1)),
+        ),
+        ("src/cli/top.rs", INSTANT, Some((CLOCK, 1))),
+        (
+            "crates/bench/src/harness/runner.rs",
+            INSTANT,
+            Some((CLOCK, 1)),
+        ),
+        (
+            "crates/bench/src/harness/schema.rs",
+            INSTANT,
+            Some((CLOCK, 1)),
+        ),
+        ("src/cli/commands.rs", INSTANT, None),
+        ("crates/telemetry/src/trace.rs", INSTANT, None),
+        ("crates/bench/src/lib.rs", INSTANT, None),
+        ("crates/patterns/src/classify.rs", INSTANT, Some((CLOCK, 1))),
+        ("crates/patterns/src/verify.rs", INSTANT, Some((CLOCK, 1))),
+        ("crates/patterns/src/metrics.rs", INSTANT, Some((CLOCK, 1))),
+        ("crates/patterns/tests/calibration.rs", INSTANT, None),
+        ("crates/parallel/src/pool.rs", SYSTEM_TIME, Some((CLOCK, 1))),
+        (
+            "crates/parallel/src/queue.rs",
+            SYSTEM_TIME,
+            Some((CLOCK, 1)),
+        ),
+        ("crates/parallel/tests/pool_stress.rs", SYSTEM_TIME, None),
+    ];
+    for (path, src, want) in cases {
+        let report = audit(&[(path, src)]);
+        assert!(report.findings.iter().all(|f| f.path == *path));
+        let want: Vec<_> = want.iter().copied().collect();
+        assert_eq!(findings(&report), want, "{path}:\n{}", report.render());
+    }
 }
 
 // ------------------------------------------------------------ cross-cutting

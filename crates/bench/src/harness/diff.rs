@@ -9,8 +9,8 @@
 //! * **measured** — wall time moved. A cell regresses only when the mean
 //!   moved outside the noise band AND Welch's t-test calls the shift
 //!   significant at `alpha` ([`np_stats::RegressionGate`]). Baselines
-//!   with fewer than two samples (migrated legacy artifacts) fall back
-//!   to the band alone.
+//!   with fewer than two samples (one-shot `np loadgen` artifacts) fall
+//!   back to the band alone.
 
 use super::schema::BenchReport;
 use np_stats::RegressionGate;

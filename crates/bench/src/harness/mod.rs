@@ -9,9 +9,7 @@
 //! shared `BenchMeta` provenance block. [`formats`] renders the same
 //! report as a live table, markdown, or CSV; [`diff`] judges a run
 //! against a committed baseline with Welch's t-test inside a noise band;
-//! [`migrate`] folds the legacy `bench-parallel/{1,2}` and loadgen
-//! `LoadSummary` artifacts into the unified schema; [`trend`] renders a
-//! history of runs as a per-cell trend table.
+//! [`trend`] renders a history of runs as a per-cell trend table.
 //!
 //! Determinism contract: everything except the wall-time samples is a
 //! pure function of (config, seed, machine). Cell digests come from the
@@ -22,7 +20,6 @@
 pub mod config;
 pub mod diff;
 pub mod formats;
-pub mod migrate;
 pub mod runner;
 pub mod schema;
 pub mod speedup;
@@ -30,6 +27,6 @@ pub mod trend;
 
 pub use config::{CellSpec, MatrixConfig};
 pub use diff::{diff_reports, gate, CellDiff, DiffReport, Verdict};
-pub use runner::run_matrix;
+pub use runner::{loadgen_report, run_matrix};
 pub use schema::{BenchCell, BenchReport, BENCH_SCHEMA};
 pub use speedup::{gate_speedup, speedup_rows, SpeedupRow, MIN_SPEEDUP};

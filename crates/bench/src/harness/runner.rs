@@ -6,8 +6,8 @@
 //! count. Thread starts are barrier-synchronised (inside
 //! `np_parallel::Pool` and the loadgen hammer), so samples never fold
 //! spawn skew into the measured wall. All timing flows through
-//! `np_telemetry::now_ns` — this module sits in the linter's
-//! no-wall-clock scope.
+//! `np_telemetry::now_ns` — this module sits in the audit's
+//! `no-wall-clock` scope.
 
 use super::config::{CellSpec, MatrixConfig};
 use super::schema::{digest_str, BenchCell, BenchReport, BENCH_SCHEMA};
@@ -389,13 +389,7 @@ fn loadgen(spec: &CellSpec, threads: usize, cfg: &MatrixConfig) -> Result<CellOu
         let t0 = np_telemetry::now_ns();
         let summary = run_once()?;
         let wall = np_telemetry::now_ns().saturating_sub(t0).max(1);
-        let got = format!(
-            "errors={},degraded={},transfer={},sets={}",
-            summary.errors,
-            summary.degraded_frames,
-            summary.transfer_consistent,
-            summary.stored_sets
-        );
+        let got = loadgen_digest_preimage(&summary);
         audit_ok &= summary.smoke_ok();
         frames_per_sec = summary.frames_per_sec;
         cache_speedup = summary.cache_speedup;
@@ -416,6 +410,50 @@ fn loadgen(spec: &CellSpec, threads: usize, cfg: &MatrixConfig) -> Result<CellOu
             ("cache_speedup".to_string(), cache_speedup),
         ]),
     })
+}
+
+/// The digest preimage of one loadgen run: its deterministic invariants
+/// (error and degraded-frame counts, transfer audit, stored sets). The
+/// matrix `loadgen` cell and `np loadgen`'s artifact hash the same
+/// string, so the two diff cleanly against each other.
+fn loadgen_digest_preimage(summary: &np_serve::LoadSummary) -> String {
+    format!(
+        "errors={},degraded={},transfer={},sets={}",
+        summary.errors, summary.degraded_frames, summary.transfer_consistent, summary.stored_sets
+    )
+}
+
+/// `np loadgen`'s artifact: one live run as a one-cell `np-bench/1`
+/// report keyed `loadgen/t<clients>`, whose single sample is the
+/// hammer-phase wall time.
+pub fn loadgen_report(summary: &np_serve::LoadSummary) -> BenchReport {
+    let clients = summary.clients.max(1);
+    let mut cell = BenchCell {
+        id: format!("loadgen/t{clients}"),
+        workload: "loadgen".to_string(),
+        threads: clients,
+        size: 0,
+        samples_ns: vec![(summary.hammer_ms * 1e6).max(1.0) as u64],
+        mean_ns: 0.0,
+        stddev_ns: 0.0,
+        digest: digest_str(&loadgen_digest_preimage(summary)),
+        audit_ok: summary.errors == 0
+            && summary.degraded_frames == 0
+            && summary.transfer_consistent,
+        metrics: BTreeMap::from([
+            ("frames_per_sec".to_string(), summary.frames_per_sec),
+            ("cache_speedup".to_string(), summary.cache_speedup),
+        ]),
+    };
+    cell.finalize();
+    BenchReport {
+        schema: BENCH_SCHEMA.to_string(),
+        bench_meta: summary.meta.clone(),
+        machine: "live".to_string(),
+        warmup: 0,
+        repeats: 1,
+        cells: vec![cell],
+    }
 }
 
 #[cfg(test)]
@@ -466,6 +504,61 @@ mod tests {
         let mut cfg = tiny_config();
         cfg.machine = "cray".to_string();
         assert!(run_matrix(&cfg, 1).is_err());
+    }
+
+    #[test]
+    fn loadgen_report_is_one_cell_with_the_matrix_digest() {
+        let summary = np_serve::LoadSummary {
+            meta: np_serve::BenchMeta::collect("loadgen", 8, 1),
+            seed: 1,
+            clients: 8,
+            frames: 166,
+            requests: 356,
+            errors: 0,
+            degraded_frames: 0,
+            hammer_ms: 79.6,
+            frames_per_sec: 1607.5,
+            cold_predict_micros: 620.0,
+            warm_predict_micros: 30.7,
+            cache_speedup: 20.18,
+            cache_hits: 32,
+            cache_misses: 41,
+            cache_evictions: 0,
+            transfer_consistent: true,
+            transfer_rel_diff: 0.0,
+            stored_sets: 136,
+            window_interval_ms: 100,
+            window_ops: vec![356],
+            window_hits: vec![32],
+            window_misses: vec![41],
+        };
+        assert_eq!(
+            loadgen_digest_preimage(&summary),
+            "errors=0,degraded=0,transfer=true,sets=136"
+        );
+        let report = loadgen_report(&summary);
+        assert_eq!(report.schema, BENCH_SCHEMA);
+        assert_eq!(report.bench_meta, summary.meta);
+        assert_eq!(report.machine, "live");
+        assert_eq!(report.cells.len(), 1);
+        let c = &report.cells[0];
+        assert_eq!((c.id.as_str(), c.threads), ("loadgen/t8", 8));
+        assert_eq!(c.samples_ns, vec![79_600_000]);
+        assert_eq!(
+            c.digest,
+            digest_str("errors=0,degraded=0,transfer=true,sets=136")
+        );
+        assert!(c.audit_ok);
+        assert_eq!(c.metrics["frames_per_sec"], 1607.5);
+        assert_eq!(c.metrics["cache_speedup"], 20.18);
+        // A degraded frame fails the cell's audit and moves its digest.
+        let degraded = np_serve::LoadSummary {
+            degraded_frames: 1,
+            ..summary
+        };
+        let d = &loadgen_report(&degraded).cells[0];
+        assert!(!d.audit_ok);
+        assert_ne!(d.digest, c.digest);
     }
 
     #[test]

@@ -105,8 +105,7 @@ impl BenchReport {
             serde_json::from_str(json).map_err(|e| format!("np-bench: parse report: {e}"))?;
         if report.schema != BENCH_SCHEMA {
             return Err(format!(
-                "np-bench: schema '{}' (this build reads '{BENCH_SCHEMA}'; \
-                 run `np bench migrate` on legacy artifacts)",
+                "np-bench: schema '{}' (this build reads '{BENCH_SCHEMA}')",
                 report.schema
             ));
         }
@@ -208,12 +207,13 @@ mod tests {
     }
 
     #[test]
-    fn wrong_schema_is_rejected_with_a_migrate_hint() {
+    fn wrong_schema_is_rejected_naming_both_schemas() {
         let mut report = sample_report();
         report.schema = "bench-parallel/2".to_string();
         let json = report.to_json_pretty().unwrap();
         let err = BenchReport::from_json(&json).unwrap_err();
-        assert!(err.contains("migrate"), "{err}");
+        assert!(err.contains("bench-parallel/2"), "{err}");
+        assert!(err.contains(BENCH_SCHEMA), "{err}");
     }
 
     #[test]

@@ -53,43 +53,6 @@ pub fn measure_batched(
     })
 }
 
-/// [`measure_batched`] with every simulated run fanned across `pool`.
-///
-/// The run list is fully determined up front — repetition `r` contributes
-/// one run per register batch (or a single fixed-counter run), all with
-/// seed `base_seed + r` — so the pool executes them as independent tasks
-/// and the merge-in-submission-order contract hands them back in exactly
-/// the order the serial loop would have produced them. The merged set is
-/// therefore bit-identical to [`measure_batched`] for any thread count.
-pub fn measure_batched_pool(
-    sim: &MachineSim,
-    program: &Program,
-    events: &[EventId],
-    repetitions: usize,
-    base_seed: u64,
-    pmu: &PmuModel,
-    pool: &np_parallel::Pool,
-) -> Result<RunSet, String> {
-    let per_rep = pmu.batches(events).len().max(1);
-    let total = repetitions * per_rep;
-    let mut results = pool
-        .try_run(total, |i| {
-            np_telemetry::counter!("acq.runs").inc();
-            sim.run(program, base_seed + (i / per_rep) as u64)
-                .map_err(|e| format!("invalid program: {e}"))
-        })
-        .map_err(|e| e.to_string())?
-        .into_iter();
-    batched_core(events, repetitions, base_seed, pmu, &mut |_seed, label| {
-        // Structurally impossible — the fan-out produced exactly the runs
-        // the batching loop consumes — but kept total with a typed error
-        // (this file is no-panic scoped).
-        results
-            .next()
-            .ok_or(format!("{label}: fan-out produced too few runs"))
-    })
-}
-
 /// The shared batching loop: one `run_one(seed, label)` call per register
 /// batch (or one per repetition when no batches exist), merged into a
 /// [`RunSet`]. Generic over the runner's error so the infallible direct
@@ -475,25 +438,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("gave up after 2 attempts"), "{err}");
-    }
-
-    #[test]
-    fn pooled_batched_is_bit_identical_to_serial() {
-        let sim = machine();
-        let p = scan_program(&sim);
-        let all: Vec<EventId> = HwEvent::ALL.to_vec();
-        let serial =
-            measure_batched(&sim, &p, &all, 3, 90, &PmuModel::default()).expect("valid program");
-        for threads in [1, 2, 8] {
-            let pool = np_parallel::Pool::new(threads);
-            let pooled = measure_batched_pool(&sim, &p, &all, 3, 90, &PmuModel::default(), &pool)
-                .expect("valid program");
-            assert_eq!(serial.runs.len(), pooled.runs.len(), "{threads} threads");
-            for (a, b) in serial.runs.iter().zip(&pooled.runs) {
-                assert_eq!(a.values, b.values, "{threads} threads");
-                assert_eq!(a.cycles, b.cycles, "{threads} threads");
-            }
-        }
     }
 
     #[test]

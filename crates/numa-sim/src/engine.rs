@@ -668,7 +668,7 @@ impl MachineSim {
 
     /// Feeds per-node cumulative event totals into the global time-series
     /// sampler at each timeslice boundary, keyed by **simulated cycles**
-    /// (never wall time — this file is in `no-wall-clock` lint scope).
+    /// (never wall time — this file is in the audit's `no-wall-clock` scope).
     /// Gated on `sampling_enabled()` so the uninstrumented main loop pays
     /// one relaxed load per slice; `np top` reads the resulting
     /// `sim.node<N>.<event>` series live.

@@ -32,8 +32,8 @@
 //! np-telemetry registry when it is enabled.
 //!
 //! The crate is zero-dependency (np-telemetry only) and — like the
-//! simulator — lint-confined: no wall clocks (`no-wall-clock`), no
-//! `Ordering::Relaxed` (`relaxed-ordering`).
+//! simulator — audit-confined: no wall clocks (`no-wall-clock`), no
+//! `Ordering::Relaxed` (`atomics-ordering`).
 
 pub mod chunk;
 pub mod pool;

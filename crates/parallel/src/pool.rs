@@ -10,9 +10,10 @@
 //! the same pool value is immediately reusable.
 //!
 //! Timing inside the pool goes through `np_telemetry::now_ns` (the
-//! facade's monotonic anchor) — `Instant::now()` is lint-forbidden in
-//! this crate so the deterministic-output contract is mechanically
-//! checkable: nothing in here can branch on a wall clock.
+//! facade's monotonic anchor) — the audit's `no-wall-clock` rule
+//! forbids `Instant::now()` in this crate so the deterministic-output
+//! contract is mechanically checkable: nothing in here can branch on a
+//! wall clock.
 
 use crate::chunk::{auto_chunk_size, Chunker, TARGET_CHUNK_NS};
 use crate::queue::{BoundedQueue, QueueStats};

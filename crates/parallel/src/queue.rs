@@ -4,8 +4,8 @@
 //! blocks when `capacity` items are in flight, consumers block when the
 //! queue is empty, and [`BoundedQueue::close`] lets consumers drain what
 //! remains and then observe end-of-work (`pop` → `None`). Everything is a
-//! single mutex + two condvars — no atomics, so the workspace
-//! `relaxed-ordering` lint has nothing to even look at.
+//! single mutex + two condvars — no atomics, so the audit's
+//! `atomics-ordering` rule has nothing to even look at.
 //!
 //! The two condvars (`not_empty` for consumers, `not_full` for the
 //! producer) replace an earlier single-condvar design whose every push
@@ -323,6 +323,11 @@ mod tests {
         let qp = Arc::clone(&q);
         // Queue is at capacity, so this push must block at least once.
         let producer = std::thread::spawn(move || qp.push(20));
+        // `push` counts the wait under the lock before it blocks: pop
+        // only once that happened, or the producer might never block.
+        while q.stats().producer_waits == 0 {
+            std::thread::yield_now();
+        }
         assert_eq!(q.pop(0), Some(10));
         assert!(producer.join().unwrap());
         q.close();

@@ -104,9 +104,9 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Option<TTestResult> {
 /// Cross-runner wall-time jitter passes (the band absorbs it, and noisy
 /// samples fail the significance test); a real slowdown — a large,
 /// repeatable shift — fails both defences. When a t-test is undefined
-/// (single-sample baselines from migrated legacy artifacts, or two
-/// zero-variance samples with equal means) the band alone decides, which
-/// keeps migrated one-shot baselines comparable.
+/// (single-sample baselines such as one-shot `np loadgen` artifacts, or
+/// two zero-variance samples with equal means) the band alone decides,
+/// which keeps one-shot baselines comparable.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegressionGate {
     /// Relative noise band, as a fraction (`0.15` = ±15 %).
@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn gate_falls_back_to_the_band_for_single_samples() {
-        // Migrated legacy baselines carry one sample per cell: the band
+        // One-shot loadgen artifacts carry one sample per cell: the band
         // alone must still catch a 2x slowdown and pass a clean re-run.
         let gate = RegressionGate {
             noise_frac: 0.25,

@@ -134,7 +134,7 @@ mod tests {
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
     /// Tests toggle process-global state; serialize them.
-    fn lock() -> MutexGuard<'static, ()> {
+    pub(crate) fn lock() -> MutexGuard<'static, ()> {
         static M: OnceLock<Mutex<()>> = OnceLock::new();
         M.get_or_init(|| Mutex::new(()))
             .lock()
@@ -178,6 +178,9 @@ mod tests {
 
     #[test]
     fn same_name_same_handle() {
+        // Registering a name mid-snapshot would break the determinism
+        // test's equality, so this one serializes too.
+        let _l = lock();
         let a = global().counter("test.same");
         let b = global().counter("test.same");
         assert!(std::ptr::eq(a, b));

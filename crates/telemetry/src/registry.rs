@@ -226,7 +226,10 @@ mod tests {
         // Regression for the poison-recovery audit fix: a worker that
         // panics mid-registration poisons the name map, and `snapshot`
         // (called from the serve crate's stats endpoint) must not turn
-        // that into a second panic on the request path.
+        // that into a second panic on the request path. The crate's test
+        // lock keeps other tests from turning the enable flag off while
+        // this one counts.
+        let _l = crate::tests::lock();
         let reg = Arc::new(MetricsRegistry::default());
         crate::set_enabled(true);
         reg.counter("pre.poison").inc();

@@ -5,8 +5,8 @@
 //! their layer defines — **simulated cycles** inside the simulator (via
 //! the engine's timeslice hook), [`crate::now_ns`] everywhere else. The
 //! sampler itself never reads a clock: `t` is always supplied by the
-//! caller, which is what keeps the `no-wall-clock` lint green for this
-//! file (it is inside the lint's forbidden scope on purpose).
+//! caller, which is what keeps the audit's `no-wall-clock` rule green
+//! for this file (it is inside that rule's scope on purpose).
 //!
 //! When a series fills its capacity it **downsamples in place**: adjacent
 //! bins merge pairwise and the series' `stride` doubles, so the buffer

@@ -50,9 +50,6 @@ cargo test -q --offline --test integration_parallel -- --test-threads 1
 cargo test -q --offline --test integration_parallel -- --test-threads 8
 cargo test -q --offline -p np-parallel -- --test-threads 1
 
-echo "== np lint (workspace invariants) =="
-cargo run --release --offline --quiet -- lint
-
 echo "== np audit (concurrency & determinism audit) =="
 audit_inv="$(mktemp -t np-unsafe-inventory.XXXXXX.md)"
 audit_sarif="$(mktemp -t np-audit.XXXXXX.sarif)"

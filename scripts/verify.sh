@@ -22,9 +22,6 @@ cargo test -q --offline
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace --offline
 
-echo "== np lint (workspace invariants) =="
-cargo run --release --offline --quiet -- lint
-
 echo "== np audit (concurrency & determinism audit) =="
 audit_inv="$(mktemp -t np-unsafe-inventory.XXXXXX.md)"
 cargo run --release --offline --quiet -- audit --inventory "$audit_inv"

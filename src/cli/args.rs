@@ -35,8 +35,6 @@ pub enum Command {
     C2c,
     /// Static code-to-indicator analysis (bounds, barriers, races).
     Analyze,
-    /// Workspace invariant linter.
-    Lint,
     /// Workspace concurrency & determinism audit.
     Audit,
     /// Run the indicator-exchange server.
@@ -45,7 +43,7 @@ pub enum Command {
     Loadgen,
     /// Benchmark the deterministic worker pool (sequential vs threaded).
     BenchParallel,
-    /// Matrix benchmark harness: run / diff / migrate / trend.
+    /// Matrix benchmark harness: run / diff / trend / speedup.
     Bench,
     /// Sampled measurement campaign: deterministic time-series capture.
     Run,
@@ -76,7 +74,6 @@ impl Command {
             "archives" => Command::Archives,
             "c2c" => Command::C2c,
             "analyze" => Command::Analyze,
-            "lint" => Command::Lint,
             "audit" => Command::Audit,
             "serve" => Command::Serve,
             "loadgen" => Command::Loadgen,
@@ -126,7 +123,7 @@ pub struct Cli {
     pub telemetry: Option<String>,
     /// Write a Chrome-trace file of internal spans to this path.
     pub trace: Option<String>,
-    /// Workspace root for `lint` (`--path`).
+    /// Workspace root for `audit` (`--path`).
     pub path: String,
     /// Exchange address: bind address for `serve`, target for `loadgen`
     /// (`loadgen` boots an in-process server when absent).
@@ -163,7 +160,7 @@ pub struct Cli {
     /// `run`: sampler ring capacity, bins per series.
     pub capacity: usize,
     /// `bench`: positional words after the command (`diff <baseline>`,
-    /// `migrate <file>`, ...). Only `bench` accepts positionals.
+    /// `trend <history>`, ...). Only `bench` accepts positionals.
     pub positional: Vec<String>,
     /// `bench`: matrix config file (TOML subset or JSON).
     pub config: Option<String>,
@@ -383,7 +380,7 @@ impl Cli {
                 "--inventory" => cli.inventory = Some(take_value("--inventory", &mut it)?),
                 "--verify" => cli.verify = true,
                 // `bench` takes positional words (`diff <baseline>`,
-                // `migrate <file>`); every other command rejects them.
+                // `trend <history>`); every other command rejects them.
                 other if command == Command::Bench && !other.starts_with('-') => {
                     cli.positional.push(other.to_string())
                 }
@@ -453,6 +450,7 @@ mod tests {
     fn rejects_unknown_command_and_flags() {
         assert!(parse(&[]).is_err());
         assert!(parse(&["frobnicate"]).is_err());
+        assert!(parse(&["lint"]).is_err(), "lint's rules live in `audit`");
         assert!(parse(&["stat", "--bogus"]).is_err());
         assert!(parse(&["stat", "--size"]).is_err());
         assert!(parse(&["stat", "--size", "abc"]).is_err());
@@ -498,15 +496,10 @@ mod tests {
     }
 
     #[test]
-    fn analyze_and_lint_parse() {
+    fn analyze_parses() {
         let cli = parse(&["analyze", "-w", "sort", "--machine", "two-socket"]).unwrap();
         assert_eq!(cli.command, Command::Analyze);
         assert_eq!(cli.workload.as_deref(), Some("sort"));
-        let cli = parse(&["lint", "--path", "/tmp/ws"]).unwrap();
-        assert_eq!(cli.command, Command::Lint);
-        assert_eq!(cli.path, "/tmp/ws");
-        // Default lint root is the current directory.
-        assert_eq!(parse(&["lint"]).unwrap().path, ".");
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
         Command::Archives => archives(cli),
         Command::C2c => c2c(cli),
         Command::Analyze => analyze_cmd(cli),
-        Command::Lint => lint_cmd(cli),
         Command::Audit => audit_cmd(cli),
         Command::Serve => serve_cmd(cli),
         Command::Loadgen => loadgen_cmd(cli),
@@ -352,10 +351,9 @@ fn patterns_single(cli: &Cli) -> Result<String, String> {
 /// ladder, Phasenprüfer pivot scan, correlation sweep, analysis sweep)
 /// is now a matrix config run through [`np_bench::harness::run_matrix`],
 /// so the artifact is the unified `np-bench/1` schema instead of the
-/// retired hand-rolled `bench-parallel/2` JSON (old artifacts convert
-/// with `np bench migrate`). `--smoke` still turns the bit-equality
-/// audits into the exit status; speedup numbers are reported, never
-/// gated (they depend on host cores).
+/// retired hand-rolled `bench-parallel/2` JSON. `--smoke` still turns
+/// the bit-equality audits into the exit status; speedup numbers are
+/// reported, never gated (they depend on host cores).
 fn bench_parallel_cmd(cli: &Cli) -> Result<String, String> {
     use np_bench::harness::config::{CellSpec, MatrixConfig};
 
@@ -431,19 +429,18 @@ fn bench_parallel_cmd(cli: &Cli) -> Result<String, String> {
 /// picks the mode: `run` (default) executes a `--config` matrix (or the
 /// built-in smoke matrix) and writes the `np-bench/1` report plus
 /// optional `--md`/`--csv` renderings; `diff <baseline>` gates a current
-/// run against a committed baseline (regressions exit 2); `migrate
-/// <file>` folds legacy artifacts into the unified schema; `trend
-/// <history>` renders (and with `--append` extends) a JSONL run history.
+/// run against a committed baseline (regressions exit 2); `trend
+/// <history>` renders (and with `--append` extends) a JSONL run history;
+/// `speedup` gates measured multi-core speedup within one report.
 fn bench_cmd(cli: &Cli) -> Result<String, String> {
     let mode = cli.positional.first().map(String::as_str).unwrap_or("run");
     match mode {
         "run" => bench_run(cli),
         "diff" => bench_diff(cli),
-        "migrate" => bench_migrate(cli),
         "trend" => bench_trend(cli),
         "speedup" => bench_speedup(cli),
         other => Err(format!(
-            "bench: unknown mode '{other}' (run | diff | migrate | trend | speedup)"
+            "bench: unknown mode '{other}' (run | diff | trend | speedup)"
         )),
     }
 }
@@ -577,26 +574,6 @@ fn bench_speedup(cli: &Cli) -> Result<String, String> {
     }
 }
 
-fn bench_migrate(cli: &Cli) -> Result<String, String> {
-    let input = cli
-        .positional
-        .get(1)
-        .ok_or("bench migrate needs an input file (`np bench migrate <legacy.json>`)")?;
-    let json =
-        std::fs::read_to_string(input).map_err(|e| format!("bench: cannot read '{input}': {e}"))?;
-    let report = np_bench::harness::migrate::migrate_json(&json)?;
-    std::fs::write(&cli.out, report.to_json_pretty()?)
-        .map_err(|e| format!("bench: cannot write '{}': {e}", cli.out))?;
-    Ok(format!(
-        "migrated {} ({} cell(s), tool {}) -> {} ({})\n",
-        input,
-        report.cells.len(),
-        report.bench_meta.tool,
-        cli.out,
-        np_bench::harness::BENCH_SCHEMA
-    ))
-}
-
 fn bench_trend(cli: &Cli) -> Result<String, String> {
     use np_bench::harness::trend;
     let history_path = cli
@@ -720,9 +697,9 @@ fn loadgen_cmd(cli: &Cli) -> Result<String, String> {
         handle.stop();
     }
     let summary = result.map_err(|e| format!("loadgen: {e}"))?;
-    // The artifact goes through the unified np-bench/1 schema (one
-    // loadgen cell), so `np bench diff`/`trend` read it directly.
-    let report = np_bench::harness::migrate::from_load_summary(&summary)?;
+    // The artifact is one np-bench/1 loadgen cell, so `np bench
+    // diff`/`trend` read it directly.
+    let report = np_bench::harness::loadgen_report(&summary);
     std::fs::write(&cli.out, report.to_json_pretty()?)
         .map_err(|e| format!("loadgen: cannot write '{}': {e}", cli.out))?;
     let mut out = format!(
@@ -950,30 +927,9 @@ fn analyze_all(cli: &Cli, machine: &np_simulator::MachineConfig) -> Result<Strin
     }
 }
 
-/// `np lint`: the workspace invariant linter. Findings are an error so CI
-/// fails on a violation; `--json` emits the machine-readable report.
-fn lint_cmd(cli: &Cli) -> Result<String, String> {
-    let report = np_analysis::lint_workspace(std::path::Path::new(&cli.path))
-        .map_err(|e| format!("lint: cannot scan '{}': {e}", cli.path))?;
-    if cli.json {
-        let body = report.to_json() + "\n";
-        return if report.is_clean() {
-            Ok(body)
-        } else {
-            Err(body)
-        };
-    }
-    let body = report.render() + "\n";
-    if report.is_clean() {
-        Ok(body)
-    } else {
-        Err(body)
-    }
-}
-
 /// `np audit`: the workspace concurrency & determinism audit. Unsuppressed
-/// findings are an error (the binary exits 2), mirroring `lint`; the
-/// committed baseline file gates legacy findings, `--sarif` emits the
+/// findings are an error (the binary exits 2) so CI fails on a violation;
+/// the committed baseline file gates legacy findings, `--sarif` emits the
 /// code-scanning report, and `--inventory` regenerates the committed
 /// unsafe inventory.
 fn audit_cmd(cli: &Cli) -> Result<String, String> {
@@ -1461,32 +1417,6 @@ mod tests {
     }
 
     #[test]
-    fn lint_runs_clean_on_this_workspace() {
-        // Tests run with the package root as cwd, which is the workspace
-        // root for the top-level crate.
-        let out = run(&["lint"]).unwrap();
-        assert!(out.contains("0 finding(s)"), "{out}");
-        let json = run(&["lint", "--json"]).unwrap();
-        assert!(json.contains("\"findings\":[]"), "{json}");
-    }
-
-    #[test]
-    fn lint_fails_on_a_seeded_violation() {
-        let dir = std::env::temp_dir().join(format!("np-lint-seed-{}", std::process::id()));
-        let src = dir.join("crates/counters/src");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(
-            src.join("acquisition.rs"),
-            "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-        )
-        .unwrap();
-        let err = run(&["lint", "--path", &dir.to_string_lossy()]).unwrap_err();
-        assert!(err.contains("no-panic"), "{err}");
-        assert!(err.contains("acquisition.rs:1"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn audit_runs_clean_on_this_workspace() {
         let out = run(&["audit"]).unwrap();
         assert!(out.contains("audit clean"), "{out}");
@@ -1555,6 +1485,28 @@ mod tests {
                     ),
                 ],
             ),
+            (
+                "bounded-reads",
+                &[(
+                    "crates/a/src/lib.rs",
+                    "use std::net::TcpStream;\nfn slurp(s: &mut TcpStream, buf: &mut [u8]) {\n    \
+                     let _ = s.read(buf);\n}\n",
+                )],
+            ),
+            (
+                "guarded-telemetry",
+                &[(
+                    "crates/a/src/lib.rs",
+                    "fn observe() {\n    np_telemetry::global().counter(\"x\").inc();\n}\n",
+                )],
+            ),
+            (
+                "no-wall-clock",
+                &[(
+                    "crates/parallel/src/lib.rs",
+                    "fn tick() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
+                )],
+            ),
         ];
         for (rule, files) in seeds {
             let dir =
@@ -1569,6 +1521,22 @@ mod tests {
             assert!(err.contains("audit FAILED"), "{err}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn audit_fails_on_a_panic_in_an_entry_file() {
+        let dir = std::env::temp_dir().join(format!("np-audit-entry-{}", std::process::id()));
+        let src = dir.join("crates/counters/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(
+            src.join("acquisition.rs"),
+            "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+        )
+        .unwrap();
+        let err = run(&["audit", "--path", &dir.to_string_lossy()]).unwrap_err();
+        assert!(err.contains("[no-panic-reachable]"), "{err}");
+        assert!(err.contains("acquisition.rs:1"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -69,10 +69,11 @@ COMMANDS:
     archives    list recorded measurement archives
     analyze     static code-to-indicator analysis: barrier/deadlock check,
                 data races, per-event bounds proven against a dynamic run
-    lint        workspace invariant linter (token-level, zero-dependency)
-    audit       workspace concurrency & determinism audit: lock-order
-                cycles, condvar discipline, atomics orderings, hot-path
-                hygiene, unsafe inventory, panic reachability
+    audit       workspace concurrency & determinism audit (token-level,
+                zero-dependency): lock-order cycles, condvar discipline,
+                atomics orderings, hot-path hygiene, unsafe inventory,
+                panic reachability, bounded socket reads, guarded
+                telemetry, no wall clocks in deterministic code
                 (--baseline FILE, --sarif FILE, --inventory FILE)
     serve       run the indicator-exchange server (put/query/predict over
                 line-delimited JSON frames)
@@ -88,8 +89,7 @@ COMMANDS:
                 default: the built-in smoke matrix) with warmup + repeat
                 sampling; `bench diff BASELINE` gates a run against a
                 committed baseline (Welch t-test inside a noise band,
-                regressions exit 2); `bench migrate FILE` converts
-                legacy BENCH_* artifacts; `bench trend HISTORY` renders
+                regressions exit 2); `bench trend HISTORY` renders
                 a JSONL run history; `bench speedup [REPORT]` gates
                 measured multi-core speedup within one report
     run         sampled measurement campaign: per-node time-series
@@ -130,7 +130,7 @@ OPTIONS:
                        (see `numa-perf-tools help telemetry`)
     --trace FILE       write a Chrome-trace of internal spans
                        (load in chrome://tracing or ui.perfetto.dev)
-    --path DIR         lint / audit: workspace root to scan (default .)
+    --path DIR         audit: workspace root to scan (default .)
     --sarif FILE       audit: also write a SARIF 2.1.0 report
     --inventory FILE   audit: regenerate the unsafe-inventory markdown
     --baseline FILE    audit: suppression baseline (default: the
@@ -188,7 +188,6 @@ HELP TOPICS:
     numa-perf-tools help resilience    fault tolerance in the probe and
                                        acquisition paths
     numa-perf-tools help analyze       static code-to-indicator analysis
-    numa-perf-tools help lint          the workspace invariant linter
     numa-perf-tools help audit         the concurrency & determinism audit
     numa-perf-tools help serve         the indicator-exchange service
     numa-perf-tools help loadgen       benchmarking the exchange
@@ -335,67 +334,17 @@ DIFFERENTIAL PROOF:
 "
 }
 
-/// The `help lint` topic: workspace invariants.
-pub fn lint_help() -> &'static str {
-    "The workspace invariant linter
-==============================
-
-`lint` enforces cross-crate rules the type system cannot express, with
-a token-level scan (no syn, no rustc plumbing). Comments, strings and
-#[cfg(test)] modules are exempt; `// lint:allow(rule): why` silences
-one line with an audit trail. Findings are errors (exit code 2), so CI
-fails on a violation.
-
-    numa-perf-tools lint [--path DIR] [--json]
-
-RULES:
-    no-panic           no .unwrap()/.expect()/panic!/unreachable!/todo!
-                       in probe and acquisition paths (memhist/probe.rs,
-                       resilience/io.rs, counters/acquisition.rs,
-                       counters/pebs.rs) — a panic there aborts a whole
-                       measurement campaign instead of surfacing a
-                       typed error
-    bounded-reads      files touching TcpStream must not call raw
-                       .read()/read_to_string()/read_to_end(); go
-                       through np_resilience::io::read_line_bounded so
-                       a slow or hostile peer cannot wedge the client
-    relaxed-ordering   Ordering::Relaxed only inside crates/telemetry
-                       (the one place the relaxed-counter argument has
-                       been made); everything else uses SeqCst
-    guarded-telemetry  np_telemetry::global() and time-series sampling
-                       (sample / sample_cumulative) on a hot path must
-                       sit under an enabled() / sampling_enabled()
-                       check in the enclosing fn
-    no-wall-clock      Instant::now()/SystemTime::now() are forbidden
-                       in the simulator, the fault plan, the worker
-                       pool (crates/parallel/src), the time-series
-                       sampler (captures are timestamped in simulated
-                       cycles), `np top`, the bench matrix harness
-                       (crates/bench/src/harness) and the np-patterns
-                       classifier (crates/patterns/src; its verdicts
-                       are byte-identical at any thread count) —
-                       seeded determinism is the whole point; pool and
-                       harness timings flow through
-                       np_telemetry::now_ns for reporting only
-
-OUTPUT:
-    file.rs:LINE: [rule] message       (text, one finding per line)
-    --json emits {files_scanned, findings: [{path, line, rule,
-    message}]} for CI artifacts.
-"
-}
-
 /// The `help audit` topic: concurrency & determinism audit.
 pub fn audit_help() -> &'static str {
     "The workspace concurrency & determinism audit
 =============================================
 
-`audit` is the linter's deeper sibling: the same token-level scan
-(shared blanking lexer, no syn), plus a per-file function index and an
-approximate workspace call graph, applied to the concurrency rules a
-type checker cannot express. Unsuppressed findings are errors (exit
-code 2). #[cfg(test)] modules are exempt; `// audit:allow(rule): why`
-silences one line with an audit trail.
+`audit` enforces the cross-crate rules a type checker cannot express
+with a token-level scan (a blanking lexer, no syn, no rustc plumbing),
+a per-file function index and an approximate workspace call graph.
+Unsuppressed findings are errors (exit code 2), so CI fails on a
+violation. Comments, strings and #[cfg(test)] modules are exempt;
+`// audit:allow(rule): why` silences one line with an audit trail.
 
     numa-perf-tools audit [--path DIR] [--json] [--sarif FILE]
                           [--baseline FILE] [--inventory FILE]
@@ -422,10 +371,32 @@ RULES:
                          committed as UNSAFE_INVENTORY.md and CI
                          regenerates and diffs it
     no-panic-reachable   .unwrap()/.expect()/panic!/unreachable!/todo!
-                         in any fn reachable (bounded call-graph walk)
-                         from the server and probe/acquisition entry
-                         points — a panic there kills a campaign or a
-                         connection instead of returning an error
+                         on any line of the entry files (the serve
+                         crate, memhist/probe.rs, resilience/io.rs,
+                         counters/acquisition.rs, counters/pebs.rs) or
+                         in any fn reachable from them (bounded
+                         call-graph walk) — a panic there kills a
+                         campaign or a connection instead of returning
+                         a typed error
+    bounded-reads        files touching TcpStream must not call raw
+                         .read()/read_to_string()/read_to_end(); go
+                         through np_resilience::io::read_line_bounded
+                         so a slow or hostile peer cannot wedge the
+                         client
+    guarded-telemetry    np_telemetry::global() and time-series sampling
+                         (sample / sample_cumulative) outside
+                         crates/telemetry must sit under an enabled() /
+                         sampling_enabled() check in the enclosing fn
+    no-wall-clock        Instant::now()/SystemTime::now() are forbidden
+                         in the simulator, the fault plan, the worker
+                         pool (crates/parallel/src), the time-series
+                         sampler (captures are timestamped in simulated
+                         cycles), `np top`, the bench matrix harness
+                         (crates/bench/src/harness) and the np-patterns
+                         classifier (its verdicts are byte-identical at
+                         any thread count) — pool and harness timings
+                         flow through np_telemetry::now_ns for
+                         reporting only
 
 BASELINE:
     audit-baseline.json (np-audit-baseline/1) suppresses known legacy
@@ -561,7 +532,7 @@ DETERMINISM CONTRACT:
     order), so every pooled path is bit-identical to its sequential
     loop at ANY thread count. `--threads` is purely a throughput knob;
     it can never change a measured value. The pool itself is in the
-    linter's no-wall-clock scope, so nothing in it can branch on
+    audit's no-wall-clock scope, so nothing in it can branch on
     timing.
 
 SCHEDULES (test harness):
@@ -587,8 +558,7 @@ BENCHMARK:
     speedup (greedy makespan of the sequential chunk costs —
     meaningful even on a single-core CI host), and a bit-equality
     audit. --smoke gates ONLY the audit; speedups are reported, never
-    gated. Legacy bench-parallel/{1,2} artifacts convert with
-    `numa-perf-tools bench migrate FILE`.
+    gated.
 
 TELEMETRY (with --telemetry FILE):
     par.tasks      chunks executed
@@ -606,13 +576,12 @@ pub fn bench_help() -> &'static str {
 with warmup + repeat sampling and writes one versioned np-bench/1 JSON
 report. One schema for every benchmark artifact: the matrix harness,
 `bench-parallel` and `loadgen` all emit it, and the diff/trend tooling
-reads every era (legacy artifacts via `bench migrate`).
+reads them all.
 
     numa-perf-tools bench [run] [--config FILE] [--threads N]
                           [--out FILE] [--md FILE] [--csv FILE] [--smoke]
     numa-perf-tools bench diff BASELINE [--current FILE] [--config FILE]
                           [--noise PCT] [--alpha P] [--md FILE]
-    numa-perf-tools bench migrate LEGACY.json [--out FILE]
     numa-perf-tools bench trend HISTORY.jsonl | --append HISTORY.jsonl
     numa-perf-tools bench speedup [REPORT.json] [--current FILE]
 
@@ -645,8 +614,8 @@ THE DIFF GATE (CI):
     digest change, a failed audit, a drifted det_ metric. Wall time is
     judged statistically: a cell regresses only when its mean moved
     outside the noise band (--noise, percent) AND Welch's t-test calls
-    the shift significant at --alpha. Single-sample baselines (migrated
-    legacy artifacts) gate on the band alone. Regressions exit 2;
+    the shift significant at --alpha. Single-sample baselines (one-shot
+    loadgen artifacts) gate on the band alone. Regressions exit 2;
     improvements and new cells pass. Committed baselines live under
     baselines/ (see EXPERIMENTS.md for the recording procedure).
 
@@ -691,7 +660,7 @@ COLUMNS:
 
 DETERMINISM:
     The sampler timestamps are simulated cycles, never wall clock —
-    `top` itself sits in the linter's no-wall-clock scope; pacing comes
+    `top` itself sits in the audit's no-wall-clock scope; pacing comes
     from thread::sleep and the tick counter only. The default workload
     is row-major at size 4096, large enough that the engine's timeslice
     hook fires at the default granularity.
@@ -808,18 +777,8 @@ mod tests {
     #[test]
     fn help_topics_cover_analysis() {
         assert!(super::usage().contains("help analyze"));
-        assert!(super::usage().contains("help lint"));
         assert!(super::usage().contains("help audit"));
         assert!(super::analyze_help().contains("DIFFERENTIAL PROOF"));
-        for rule in [
-            "no-panic",
-            "bounded-reads",
-            "relaxed-ordering",
-            "guarded-telemetry",
-            "no-wall-clock",
-        ] {
-            assert!(super::lint_help().contains(rule), "missing rule {rule}");
-        }
         for rule in [
             "lock-order",
             "condvar-discipline",
@@ -827,6 +786,9 @@ mod tests {
             "hot-path-hygiene",
             "unsafe-safety",
             "no-panic-reachable",
+            "bounded-reads",
+            "guarded-telemetry",
+            "no-wall-clock",
         ] {
             assert!(super::audit_help().contains(rule), "missing rule {rule}");
         }
@@ -888,7 +850,6 @@ mod tests {
             "Welch",
             "--alpha",
             "baselines/",
-            "bench migrate",
             "--append",
             "DETERMINISM CONTRACT",
         ] {

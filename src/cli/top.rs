@@ -7,7 +7,7 @@
 //! (`ESC[2J ESC[H` — no TUI dependency) every `--interval` ms for
 //! `--ticks` frames, showing per-node event rates and the active phase.
 //!
-//! This file sits in the linter's no-wall-clock scope: pacing comes
+//! This file sits in the audit's `no-wall-clock` scope: pacing comes
 //! from `thread::sleep` and the tick counter, rates are deltas of the
 //! sampler's simulated-cycle series between redraws — nothing here
 //! branches on `Instant::now`.

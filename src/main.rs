@@ -7,7 +7,6 @@ fn main() {
             Some("telemetry") => print!("{}", numa_perf_tools::cli::telemetry_help()),
             Some("resilience") => print!("{}", numa_perf_tools::cli::resilience_help()),
             Some("analyze") => print!("{}", numa_perf_tools::cli::analyze_help()),
-            Some("lint") => print!("{}", numa_perf_tools::cli::lint_help()),
             Some("audit") => print!("{}", numa_perf_tools::cli::audit_help()),
             Some("serve") => print!("{}", numa_perf_tools::cli::serve_help()),
             Some("loadgen") => print!("{}", numa_perf_tools::cli::loadgen_help()),
@@ -25,7 +24,7 @@ fn main() {
         Err(err) => {
             eprintln!("error: {err}");
             // Only a command line we failed to parse earns the usage dump;
-            // a parseable command that failed (lint findings, an envelope
+            // a parseable command that failed (audit findings, an envelope
             // violation) already printed its own diagnosis.
             if numa_perf_tools::cli::Cli::parse(&args).is_err() {
                 eprintln!();

@@ -8,8 +8,7 @@
 //! same paths CI exercises.
 
 use np_bench::harness::{
-    diff_reports, formats, gate, migrate, run_matrix, BenchReport, MatrixConfig, Verdict,
-    BENCH_SCHEMA,
+    diff_reports, formats, gate, run_matrix, BenchReport, MatrixConfig, Verdict, BENCH_SCHEMA,
 };
 
 fn smoke_report(harness_threads: usize) -> BenchReport {
@@ -104,24 +103,7 @@ fn formats_round_trip_and_render_every_cell() {
 }
 
 #[test]
-fn legacy_artifacts_migrate_and_diff_cleanly_against_themselves() {
-    // The committed legacy schema keeps working through the shim, and
-    // the migrated np-bench/1 baseline passes through it unchanged:
-    // migration is idempotent and a migrated report self-diffs green.
-    for path in ["baselines/bench-parallel.json", "BENCH_serve.json"] {
-        let json = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let report = migrate::migrate_json(&json).unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert_eq!(report.schema, BENCH_SCHEMA);
-        assert!(!report.cells.is_empty(), "{path} migrated to zero cells");
-        let again = migrate::migrate_json(&report.to_json_pretty().unwrap()).unwrap();
-        assert_eq!(again, report, "{path}: migration is not idempotent");
-        let diff = diff_reports(&report, &report.clone(), 15.0, 0.01);
-        assert!(gate(&diff).is_ok(), "{path}: migrated self-diff failed");
-    }
-}
-
-#[test]
-fn cli_run_diff_and_migrate_share_one_schema() {
+fn cli_run_and_diff_share_one_schema() {
     let cli = |args: &[&str]| {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         numa_perf_tools::cli::run(&owned)
@@ -140,11 +122,5 @@ fn cli_run_diff_and_migrate_share_one_schema() {
     // ...which `np bench diff` accepts as both baseline and current.
     let text = cli(&["bench", "diff", out_s, "--current", out_s]).unwrap();
     assert!(text.contains("gate: OK"), "{text}");
-
-    // `np bench migrate` on a current-schema file is a clean pass-through.
-    let mig = dir.join("mig.json");
-    cli(&["bench", "migrate", out_s, "--out", mig.to_str().unwrap()]).unwrap();
-    let migrated = BenchReport::from_json(&std::fs::read_to_string(&mig).unwrap()).unwrap();
-    assert_eq!(migrated, report);
     std::fs::remove_dir_all(&dir).unwrap();
 }
