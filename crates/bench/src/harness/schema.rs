@@ -1,8 +1,8 @@
 //! The versioned `np-bench/1` report schema.
 //!
 //! One schema for every benchmark artifact the suite emits: the matrix
-//! harness, the `bench-parallel` compat shim and `loadgen` all write
-//! this shape, and `np bench diff` / `trend` read it back. Fields split
+//! harness and `loadgen` both write this shape, and `np bench diff` /
+//! `trend` read it back. Fields split
 //! into three trust classes:
 //!
 //! * **provenance** — `bench_meta` (host, threads, seed, commit) plus the

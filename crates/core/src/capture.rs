@@ -19,7 +19,7 @@
 //!   what `np run --sample` writes and `np report` reads.
 //! * [`Timeline`] — the pool's per-chunk worker profile for the same
 //!   campaign. Wall-clock timestamps, so it is deliberately **not**
-//!   part of the deterministic capture; it answers the bench-parallel
+//!   part of the deterministic capture; it answers the worker-pool
 //!   question ("where does the 2-thread wall time go?") instead.
 
 use np_parallel::ChunkProfile;

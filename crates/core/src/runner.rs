@@ -11,14 +11,11 @@
 //! every thread count.
 
 use crate::capture::NodeSeriesObserver;
-use np_counters::acquisition::{
-    measure_batched, measure_batched_resilient, measure_multiplexed, AcquisitionMode,
-};
+use np_counters::acquisition::{measure_batched, measure_multiplexed, AcquisitionMode};
 use np_counters::catalog::{EventCatalog, EventId};
 use np_counters::measurement::{Measurement, RunSet};
 use np_counters::pmu::PmuModel;
-use np_parallel::{ChunkProfile, Pool, Schedule};
-use np_resilience::{BreakerConfig, CircuitBreaker, FaultInjector, RetryPolicy};
+use np_parallel::{ChunkProfile, Pool, PoolConfig, Schedule};
 use np_simulator::{MachineConfig, MachineSim, Program};
 use np_telemetry::timeseries::Sampler;
 use np_workloads::Workload;
@@ -78,34 +75,6 @@ impl MeasurementPlan {
     }
 }
 
-/// Fault policy for a resilient measurement campaign.
-///
-/// A campaign is a sequence of repetitions; each repetition retries its
-/// simulated runs per [`RetryPolicy`], and a shared [`CircuitBreaker`]
-/// stops hammering an acquisition path that keeps failing. The campaign
-/// degrades gracefully: it succeeds with however many repetitions
-/// survived, as long as at least `min_repetitions` did.
-#[derive(Debug, Clone)]
-pub struct CampaignPolicy {
-    /// Per-repetition retry schedule for transient acquisition failures.
-    pub retry: RetryPolicy,
-    /// Breaker thresholds shared by every repetition of the campaign.
-    pub breaker: BreakerConfig,
-    /// Minimum surviving repetitions for the campaign to count. Fewer
-    /// than this (after retries and breaker skips) is a hard error.
-    pub min_repetitions: usize,
-}
-
-impl Default for CampaignPolicy {
-    fn default() -> Self {
-        CampaignPolicy {
-            retry: RetryPolicy::new(3),
-            breaker: BreakerConfig::default(),
-            min_repetitions: 1,
-        }
-    }
-}
-
 /// What a sampled campaign produced: the measurements, the merged
 /// deterministic time-series capture, and the pool's worker profile.
 #[derive(Debug)]
@@ -137,25 +106,12 @@ impl Runner {
         }
     }
 
-    /// Wraps an existing simulator.
-    pub fn from_sim(sim: MachineSim) -> Self {
-        Runner {
-            sim,
-            pool: Pool::default(),
-        }
-    }
-
     /// Sets the worker-thread count for parallel campaign execution.
     /// Purely a throughput knob: measured values are bit-identical for
     /// every choice (see the np-parallel determinism contract).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.pool = Pool::new(threads);
         self
-    }
-
-    /// The pool that fans out batched repetitions.
-    pub fn pool(&self) -> &Pool {
-        &self.pool
     }
 
     /// The underlying simulator.
@@ -181,122 +137,23 @@ impl Runner {
         program: &Program,
         plan: &MeasurementPlan,
     ) -> Result<RunSet, String> {
-        if plan.events.is_empty() {
-            return Err("measurement plan has no events".into());
-        }
-        if plan.repetitions == 0 {
-            return Err("measurement plan has no repetitions".into());
-        }
-        let _span = np_telemetry::span!("runner.measure", "runner");
-        np_telemetry::counter!("runner.campaigns").inc();
-        np_telemetry::counter!("runner.repetitions").add(plan.repetitions as u64);
-        match plan.mode {
-            AcquisitionMode::BatchedRuns => self.measure_batched_parallel(program, plan),
-            AcquisitionMode::Multiplexed => measure_multiplexed(
-                &self.sim,
-                program,
-                &plan.events,
-                plan.repetitions,
-                plan.base_seed,
-                &plan.pmu,
-            ),
-        }
+        Ok(self.campaign(program, plan, None)?.runs)
     }
 
-    /// Measures a workload under `plan` with fault tolerance: retries,
-    /// a circuit breaker, and graceful degradation to fewer repetitions.
-    pub fn measure_resilient(
-        &self,
-        workload: &dyn Workload,
-        plan: &MeasurementPlan,
-        policy: &CampaignPolicy,
-        faults: &dyn FaultInjector,
-    ) -> Result<RunSet, String> {
-        let program = workload.build(self.sim.config());
-        let mut set = self.measure_program_resilient(&program, plan, policy, faults)?;
-        set.label = workload.name();
-        Ok(set)
-    }
-
-    /// Resilient variant of [`Runner::measure_program`].
+    /// Measures a workload under `plan` with a per-repetition time-series
+    /// capture of at most `capacity` bins per series.
     ///
-    /// Repetitions run serially so the breaker sees failures in order;
-    /// each repetition is still the same independent `(program, seed)`
-    /// simulation, so on a clean link the values are bit-identical to
-    /// the parallel path. Skipped and failed repetitions are visible in
-    /// telemetry (`runner.skipped_repetitions`, `runner.failed_repetitions`)
-    /// and the breaker exports its state under `runner.circuit.*`.
-    pub fn measure_program_resilient(
-        &self,
-        program: &Program,
-        plan: &MeasurementPlan,
-        policy: &CampaignPolicy,
-        faults: &dyn FaultInjector,
-    ) -> Result<RunSet, String> {
-        if plan.events.is_empty() {
-            return Err("measurement plan has no events".into());
-        }
-        if plan.repetitions == 0 {
-            return Err("measurement plan has no repetitions".into());
-        }
-        let _span = np_telemetry::span!("runner.measure_resilient", "runner");
-        np_telemetry::counter!("runner.campaigns").inc();
-        np_telemetry::counter!("runner.repetitions").add(plan.repetitions as u64);
-        let breaker = CircuitBreaker::new("runner.circuit", policy.breaker.clone());
-        let mut runs: Vec<Measurement> = Vec::with_capacity(plan.repetitions);
-        let mut last_err: Option<String> = None;
-        for rep in 0..plan.repetitions {
-            if !breaker.allow() {
-                np_telemetry::counter!("runner.skipped_repetitions").inc();
-                continue;
-            }
-            let seed = plan.base_seed + rep as u64;
-            let outcome = match plan.mode {
-                AcquisitionMode::BatchedRuns => measure_batched_resilient(
-                    &self.sim,
-                    program,
-                    &plan.events,
-                    1,
-                    seed,
-                    &plan.pmu,
-                    &policy.retry,
-                    faults,
-                ),
-                // Multiplexing measures everything in one run; there is no
-                // batch boundary to retry, so it runs unguarded.
-                AcquisitionMode::Multiplexed => {
-                    measure_multiplexed(&self.sim, program, &plan.events, 1, seed, &plan.pmu)
-                }
-            };
-            match outcome {
-                Ok(one) => {
-                    breaker.record_success();
-                    np_telemetry::counter!("runner.reps_done").inc();
-                    runs.extend(one.runs);
-                }
-                Err(e) => {
-                    breaker.record_failure();
-                    np_telemetry::counter!("runner.failed_repetitions").inc();
-                    last_err = Some(e);
-                }
-            }
-        }
-        if runs.len() < policy.min_repetitions {
-            return Err(format!(
-                "campaign degraded below minimum: {}/{} repetitions survived (need {}): {}",
-                runs.len(),
-                plan.repetitions,
-                policy.min_repetitions,
-                last_err.unwrap_or_else(|| "no repetition attempted".into()),
-            ));
-        }
-        Ok(RunSet {
-            runs,
-            label: "batched".into(),
-        })
-    }
-
-    /// [`Runner::measure_program_sampled`] over a workload.
+    /// Every repetition runs the simulation once under a
+    /// [`NodeSeriesObserver`] (timestamps in simulated cycles, phase
+    /// `measure`), into its **own** sampler, and reads the plan's events
+    /// straight off that run's counters: the values batched acquisition
+    /// records for the same `(program, seed)`. The samplers merge in
+    /// submission order under `rep<R>.` prefixes, so the capture is a
+    /// pure function of the plan, byte-identical across runs and pool
+    /// thread counts. The pool's [`ChunkProfile`] rides along for the
+    /// worker timeline (wall-clock, intentionally separate from the
+    /// deterministic capture). A capture reads exact counts, so a
+    /// multiplexed plan is an error.
     pub fn measure_sampled(
         &self,
         workload: &dyn Workload,
@@ -304,32 +161,21 @@ impl Runner {
         capacity: usize,
     ) -> Result<SampledCampaign, String> {
         let program = workload.build(self.sim.config());
-        let mut campaign = self.measure_program_sampled(&program, plan, capacity)?;
+        let mut campaign = self.campaign(&program, plan, Some(capacity))?;
         campaign.runs.label = workload.name();
         Ok(campaign)
     }
 
-    /// Batched measurement with a per-repetition time-series capture.
-    ///
-    /// Every repetition runs the simulation once under a
-    /// [`NodeSeriesObserver`] (timestamps in simulated cycles, phase
-    /// `measure`), into its **own** sampler; the pool hands repetitions
-    /// back in submission order and the samplers merge serially under
-    /// `rep<R>.` prefixes. The merged capture is therefore a pure
-    /// function of the plan — byte-identical across runs and across
-    /// pool thread counts. The pool's [`ChunkProfile`] rides along for
-    /// the worker timeline (wall-clock, intentionally separate from the
-    /// deterministic capture).
-    ///
-    /// Event values are read straight off the observed run's counters —
-    /// identical to what batched acquisition records for the same
-    /// `(program, seed)`, without paying for one simulation per
-    /// register batch.
-    pub fn measure_program_sampled(
+    /// The campaign loop behind every entry point: `plan.repetitions`
+    /// independent `(program, base_seed + r)` repetitions fanned across
+    /// the pool, which merges them in submission order, so the result is
+    /// bit-identical to a serial loop at every thread count. `capture`
+    /// is the sampler capacity of a captured campaign.
+    fn campaign(
         &self,
         program: &Program,
         plan: &MeasurementPlan,
-        capacity: usize,
+        capture: Option<usize>,
     ) -> Result<SampledCampaign, String> {
         if plan.events.is_empty() {
             return Err("measurement plan has no events".into());
@@ -337,51 +183,56 @@ impl Runner {
         if plan.repetitions == 0 {
             return Err("measurement plan has no repetitions".into());
         }
-        let _span = np_telemetry::span!("runner.measure_sampled", "runner");
+        if capture.is_some() && plan.mode == AcquisitionMode::Multiplexed {
+            return Err("a sampled capture reads exact counts and cannot run a \
+                        multiplexed plan"
+                .into());
+        }
+        let _span = np_telemetry::span!("runner.measure", "runner");
         np_telemetry::counter!("runner.campaigns").inc();
         np_telemetry::counter!("runner.repetitions").add(plan.repetitions as u64);
-        // One chunk per repetition, pinned: each item is a whole observed
-        // simulation (far above the adaptive work floor), and the worker
-        // timeline's contract is per-repetition attribution — the same
-        // chunk geometry at every thread count, including the inline
-        // single-worker path.
-        let pool = Pool::with_config(np_parallel::PoolConfig {
-            threads: self.pool.threads(),
-            chunk_size: Some(1),
-            ..np_parallel::PoolConfig::default()
-        });
-        let report = pool.run_report(
-            plan.repetitions,
-            |rep| {
-                let _phase = np_telemetry::phase("measure");
-                let seed = plan.base_seed + rep as u64;
-                let mut obs = NodeSeriesObserver::new(self.sim.config().topology.clone(), capacity);
-                let result = match self.sim.run_observed(program, seed, &mut obs) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        return (Err(format!("invalid program: {e}")), obs.into_sampler());
-                    }
-                };
-                let mut m = Measurement::new(seed);
-                for &e in &plan.events {
-                    m.values.insert(e, result.total(e) as f64);
-                }
-                m.cycles = result.cycles;
+        let repetition = |rep: usize| {
+            // Occupancy gauge brackets the repetition so a trace shows
+            // how many pool workers the fan-out actually kept busy.
+            let _rep_span = np_telemetry::span!("runner.repetition", "runner");
+            np_telemetry::gauge!("runner.active_workers").add(1);
+            let one = self.repetition(program, plan, plan.base_seed + rep as u64, capture);
+            np_telemetry::gauge!("runner.active_workers").add(-1);
+            if one.is_ok() {
                 np_telemetry::counter!("runner.reps_done").inc();
-                (Ok(m), obs.into_sampler())
-            },
-            &Schedule::Free,
-        );
+            }
+            one
+        };
+        // A capture pins one chunk per repetition: the worker timeline's
+        // contract is per-repetition attribution, the same chunk geometry
+        // at every thread count. Otherwise the pool sizes chunks
+        // adaptively.
+        let pool = match capture {
+            Some(_) => Pool::with_config(PoolConfig {
+                threads: self.pool.threads(),
+                chunk_size: Some(1),
+                ..PoolConfig::default()
+            }),
+            None => self.pool.clone(),
+        };
+        let report = pool.run_report(plan.repetitions, repetition, &Schedule::Free);
         let mut runs = Vec::with_capacity(plan.repetitions);
-        let mut sampler = Sampler::new(capacity);
-        for (rep, (m, rep_sampler)) in report.results.into_iter().enumerate() {
-            runs.push(m?);
-            sampler.merge_prefixed(&format!("rep{rep}."), &rep_sampler);
+        let mut sampler = Sampler::new(capture.unwrap_or(0));
+        for (rep, one) in report.results.into_iter().enumerate() {
+            let (m, rep_sampler) = one?;
+            runs.push(m);
+            if let Some(rep_sampler) = rep_sampler {
+                sampler.merge_prefixed(&format!("rep{rep}."), &rep_sampler);
+            }
         }
+        let label = match plan.mode {
+            AcquisitionMode::BatchedRuns => "batched",
+            AcquisitionMode::Multiplexed => "multiplexed",
+        };
         Ok(SampledCampaign {
             runs: RunSet {
                 runs,
-                label: "sampled".into(),
+                label: label.into(),
             },
             sampler,
             profile: report.profile,
@@ -389,42 +240,42 @@ impl Runner {
         })
     }
 
-    /// Batched acquisition with repetitions fanned across the pool.
-    /// Results are bit-identical to the serial path: each repetition is an
-    /// independent `(program, seed)` simulation, and the pool merges in
-    /// submission order.
-    fn measure_batched_parallel(
+    /// One repetition at `seed`. Uncaptured, it acquires the plan's
+    /// events in the plan's mode. Captured, it runs the simulation once
+    /// under a [`NodeSeriesObserver`] into its own sampler and reads the
+    /// events off that run's exact counts.
+    fn repetition(
         &self,
         program: &Program,
         plan: &MeasurementPlan,
-    ) -> Result<RunSet, String> {
-        let runs: Vec<Measurement> = self
-            .pool
-            .try_run(plan.repetitions, |rep| {
-                // Occupancy gauge brackets the repetition so a trace shows
-                // how many pool workers the fan-out actually kept busy.
-                let _rep_span = np_telemetry::span!("runner.repetition", "runner");
-                np_telemetry::gauge!("runner.active_workers").add(1);
-                let one = measure_batched(
-                    &self.sim,
-                    program,
-                    &plan.events,
-                    1,
-                    plan.base_seed + rep as u64,
-                    &plan.pmu,
-                )?;
-                np_telemetry::gauge!("runner.active_workers").add(-1);
-                np_telemetry::counter!("runner.reps_done").inc();
-                one.runs
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| "repetition produced no measurement".to_string())
-            })
-            .map_err(|e| e.to_string())?;
-        Ok(RunSet {
-            runs,
-            label: "batched".into(),
-        })
+        seed: u64,
+        capture: Option<usize>,
+    ) -> Result<(Measurement, Option<Sampler>), String> {
+        let Some(capacity) = capture else {
+            let acquire = match plan.mode {
+                AcquisitionMode::BatchedRuns => measure_batched,
+                AcquisitionMode::Multiplexed => measure_multiplexed,
+            };
+            let set = acquire(&self.sim, program, &plan.events, 1, seed, &plan.pmu)?;
+            return set
+                .runs
+                .into_iter()
+                .next()
+                .map(|m| (m, None))
+                .ok_or_else(|| "repetition produced no measurement".to_string());
+        };
+        let _phase = np_telemetry::phase("measure");
+        let mut obs = NodeSeriesObserver::new(self.sim.config().topology.clone(), capacity);
+        let result = self
+            .sim
+            .run_observed(program, seed, &mut obs)
+            .map_err(|e| format!("invalid program: {e}"))?;
+        let mut m = Measurement::new(seed);
+        for &e in &plan.events {
+            m.values.insert(e, result.total(e) as f64);
+        }
+        m.cycles = result.cycles;
+        Ok((m, Some(obs.into_sampler())))
     }
 }
 
@@ -467,27 +318,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batched_matches_serial() {
-        let runner = Runner::new(machine());
-        let w = CacheMissKernel::column_major(32);
-        let program = w.build(runner.sim().config());
+    fn pooled_campaign_matches_serial_acquisition() {
+        let runner = Runner::new(machine()).with_threads(2);
+        let program = CacheMissKernel::column_major(32).build(runner.sim().config());
         let plan = MeasurementPlan::events(
             vec![HwEvent::Cycles, HwEvent::L1dMiss, HwEvent::L2Miss],
             4,
             7,
         );
-        let par = runner.measure_program(&program, &plan).unwrap();
-        let ser = np_counters::acquisition::measure_batched(
-            runner.sim(),
-            &program,
-            &plan.events,
-            4,
-            7,
-            &plan.pmu,
-        )
-        .expect("valid program");
-        for (a, b) in par.runs.iter().zip(&ser.runs) {
-            assert_eq!(a.values, b.values);
+        for plan in [plan.clone(), plan.multiplexed()] {
+            let pooled = runner.measure_program(&program, &plan).unwrap();
+            let acquire = match plan.mode {
+                AcquisitionMode::BatchedRuns => measure_batched,
+                AcquisitionMode::Multiplexed => measure_multiplexed,
+            };
+            let serial = acquire(runner.sim(), &program, &plan.events, 4, 7, &plan.pmu)
+                .expect("valid program");
+            assert_eq!(pooled.label, serial.label);
+            assert_eq!(pooled.runs, serial.runs, "{:?}", plan.mode);
         }
     }
 
@@ -605,101 +453,12 @@ mod tests {
     }
 
     #[test]
-    fn resilient_campaign_matches_plain_on_a_clean_link() {
-        let runner = Runner::new(machine());
-        let w = CacheMissKernel::row_major(32);
-        let program = w.build(runner.sim().config());
-        let plan = MeasurementPlan::events(vec![HwEvent::Cycles, HwEvent::L1dMiss], 3, 11);
-        let plain = runner.measure_program(&program, &plan).unwrap();
-        let resilient = runner
-            .measure_program_resilient(
-                &program,
-                &plan,
-                &CampaignPolicy::default(),
-                &np_resilience::NoFaults,
-            )
-            .unwrap();
-        assert_eq!(plain.len(), resilient.len());
-        for (a, b) in plain.runs.iter().zip(&resilient.runs) {
-            assert_eq!(a.values, b.values);
-        }
-    }
-
-    #[test]
-    fn resilient_campaign_retries_through_transient_faults() {
-        let runner = Runner::new(machine());
-        let w = CacheMissKernel::row_major(24);
-        let program = w.build(runner.sim().config());
-        let plan = MeasurementPlan::events(vec![HwEvent::Cycles], 3, 5);
-        // Two consecutive drops: repetition 1 burns both on attempts 1-2
-        // and succeeds on attempt 3; the rest run clean.
-        let faults = np_resilience::ScriptedFaults::new().inject_n(
-            "acq.batch_run",
-            np_resilience::Fault::DropConnection,
-            2,
-        );
-        let policy = CampaignPolicy {
-            retry: RetryPolicy::immediate(3),
-            ..CampaignPolicy::default()
-        };
-        let rs = runner
-            .measure_program_resilient(&program, &plan, &policy, &faults)
-            .unwrap();
-        assert_eq!(rs.len(), 3);
-        assert_eq!(faults.remaining(), 0);
-    }
-
-    #[test]
-    fn campaign_degrades_to_surviving_repetitions() {
-        let runner = Runner::new(machine());
-        let w = CacheMissKernel::row_major(24);
-        let program = w.build(runner.sim().config());
-        let plan = MeasurementPlan::events(vec![HwEvent::Cycles], 4, 5);
-        // Two consecutive drops exhaust repetition 1's retry budget; the
-        // other three repetitions survive untouched.
-        let faults = np_resilience::ScriptedFaults::new().inject_n(
-            "acq.batch_run",
-            np_resilience::Fault::DropConnection,
-            2,
-        );
-        let policy = CampaignPolicy {
-            retry: RetryPolicy::immediate(2),
-            min_repetitions: 2,
-            ..CampaignPolicy::default()
-        };
-        let rs = runner
-            .measure_program_resilient(&program, &plan, &policy, &faults)
-            .unwrap();
-        assert_eq!(rs.len(), 3);
-    }
-
-    #[test]
-    fn open_circuit_skips_remaining_repetitions() {
-        let runner = Runner::new(machine());
-        let w = CacheMissKernel::row_major(24);
-        let program = w.build(runner.sim().config());
-        let plan = MeasurementPlan::events(vec![HwEvent::Cycles], 6, 5);
-        // Every attempt faults: two repetitions fail, the breaker trips,
-        // and the remaining four are skipped without touching the script.
-        let faults = np_resilience::ScriptedFaults::new().inject_n(
-            "acq.batch_run",
-            np_resilience::Fault::DropConnection,
-            100,
-        );
-        let policy = CampaignPolicy {
-            retry: RetryPolicy::immediate(1),
-            breaker: np_resilience::BreakerConfig {
-                failure_threshold: 2,
-                cooldown: std::time::Duration::from_secs(60),
-            },
-            min_repetitions: 1,
-        };
-        let err = runner
-            .measure_program_resilient(&program, &plan, &policy, &faults)
+    fn capture_rejects_a_multiplexed_plan() {
+        let plan = MeasurementPlan::events(vec![HwEvent::Cycles], 2, 3).multiplexed();
+        let err = Runner::new(sampled_machine())
+            .measure_sampled(&CacheMissKernel::row_major(16), &plan, 64)
             .unwrap_err();
-        assert!(err.contains("0/6"), "{err}");
-        // Only the two pre-trip repetitions consumed faults.
-        assert_eq!(faults.remaining(), 98);
+        assert!(err.contains("multiplexed"), "{err}");
     }
 
     #[test]

@@ -19,7 +19,6 @@
 use crate::catalog::EventId;
 use crate::measurement::{Measurement, RunSet};
 use crate::pmu::PmuModel;
-use np_resilience::{Fault, FaultInjector, RetryPolicy};
 use np_simulator::{Counters, MachineSim, Program, RunResult, SimObserver};
 
 /// Which acquisition strategy to use.
@@ -46,29 +45,15 @@ pub fn measure_batched(
     base_seed: u64,
     pmu: &PmuModel,
 ) -> Result<RunSet, String> {
-    batched_core(events, repetitions, base_seed, pmu, &mut |seed, label| {
-        np_telemetry::counter!("acq.runs").inc();
-        sim.run(program, seed)
-            .map_err(|e| format!("{label}: invalid program: {e}"))
-    })
-}
-
-/// The shared batching loop: one `run_one(seed, label)` call per register
-/// batch (or one per repetition when no batches exist), merged into a
-/// [`RunSet`]. Generic over the runner's error so the infallible direct
-/// path carries no panic machinery.
-fn batched_core<E>(
-    events: &[EventId],
-    repetitions: usize,
-    base_seed: u64,
-    pmu: &PmuModel,
-    run_one: &mut dyn FnMut(u64, String) -> Result<RunResult, E>,
-) -> Result<RunSet, E> {
     let _span = np_telemetry::span!("acq.batched", "counters");
     let batches = pmu.batches(events);
     let mut set = RunSet::new("batched");
     for rep in 0..repetitions {
         let seed = base_seed + rep as u64;
+        let run = || {
+            np_telemetry::counter!("acq.runs").inc();
+            sim.run(program, seed)
+        };
         let mut m = Measurement::new(seed);
         let record_fixed = |m: &mut Measurement, result: &RunResult| {
             for &f in &pmu.fixed {
@@ -79,14 +64,16 @@ fn batched_core<E>(
             m.cycles = result.cycles;
         };
         if batches.is_empty() {
-            let result = run_one(seed, format!("repetition {rep} fixed-counter run"))?;
+            let result = run()
+                .map_err(|e| format!("repetition {rep} fixed-counter run: invalid program: {e}"))?;
             record_fixed(&mut m, &result);
         }
         for (bi, batch) in batches.iter().enumerate() {
             // The PMU only exposes the programmed registers; the simulator
             // counts everything, so visibility filtering happens here.
             np_telemetry::counter!("acq.batched.batch_runs").inc();
-            let result = run_one(seed, format!("repetition {rep} batch {bi}"))?;
+            let result =
+                run().map_err(|e| format!("repetition {rep} batch {bi}: invalid program: {e}"))?;
             if bi == 0 {
                 record_fixed(&mut m, &result);
             }
@@ -110,49 +97,6 @@ fn batched_core<E>(
         }
     }
     Ok(set)
-}
-
-/// [`measure_batched`] with a retry policy and fault injection at the
-/// `"acq.batch_run"` site: a scripted fault fails that simulated run (a
-/// crashed testee, a perf-fd that would not open) and the run is retried
-/// per `retry` — seeds are unchanged across retries, so a recovered run
-/// is bit-identical to an unfaulted one. Retries land in the
-/// `acq.retries` counter; a run that exhausts the policy fails the whole
-/// measurement with a description of where it gave up.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_batched_resilient(
-    sim: &MachineSim,
-    program: &Program,
-    events: &[EventId],
-    repetitions: usize,
-    base_seed: u64,
-    pmu: &PmuModel,
-    retry: &RetryPolicy,
-    faults: &dyn FaultInjector,
-) -> Result<RunSet, String> {
-    batched_core(events, repetitions, base_seed, pmu, &mut |seed, label| {
-        retry
-            .run(
-                |attempt| {
-                    if attempt.index > 1 {
-                        np_telemetry::counter!("acq.retries").inc();
-                    }
-                    match faults.next("acq.batch_run") {
-                        Some(Fault::Delay(d)) => std::thread::sleep(d),
-                        Some(f) => {
-                            np_telemetry::counter!("acq.faults").inc();
-                            return Err(format!("injected fault: {f:?}"));
-                        }
-                        None => {}
-                    }
-                    np_telemetry::counter!("acq.runs").inc();
-                    sim.run(program, seed)
-                        .map_err(|e| format!("invalid program: {e}"))
-                },
-                |_| true,
-            )
-            .map_err(|e| format!("{label}: {e}"))
-    })
 }
 
 /// Timeslice observer that rotates event groups and extrapolates.
@@ -386,58 +330,6 @@ mod tests {
         // overscales it. We only require that it is *not* exact, which is
         // the qualitative claim of §IV-A-1 (quantified in ablation X1).
         assert_ne!(est, truth);
-    }
-
-    #[test]
-    fn resilient_batched_recovers_bit_identically() {
-        use np_resilience::ScriptedFaults;
-        let sim = machine();
-        let p = scan_program(&sim);
-        let events = [HwEvent::Cycles, HwEvent::Instructions, HwEvent::L1dMiss];
-        let clean =
-            measure_batched(&sim, &p, &events, 2, 50, &PmuModel::default()).expect("valid program");
-        // Two injected failures, each recovered on the retry: same seeds,
-        // so the recovered measurement is identical to the clean one.
-        let faults = ScriptedFaults::new().inject_n("acq.batch_run", Fault::DropConnection, 2);
-        let retried = measure_batched_resilient(
-            &sim,
-            &p,
-            &events,
-            2,
-            50,
-            &PmuModel::default(),
-            &RetryPolicy::immediate(3),
-            &faults,
-        )
-        .unwrap();
-        assert_eq!(faults.remaining(), 0, "script did not fire");
-        assert_eq!(clean.runs.len(), retried.runs.len());
-        for (a, b) in clean.runs.iter().zip(&retried.runs) {
-            assert_eq!(a.values, b.values);
-        }
-    }
-
-    #[test]
-    fn resilient_batched_exhausts_into_an_error() {
-        use np_resilience::ScriptedFaults;
-        let sim = machine();
-        let p = scan_program(&sim);
-        let events = [HwEvent::Cycles];
-        // More faults than the policy has attempts: the first run can
-        // never succeed.
-        let faults = ScriptedFaults::new().inject_n("acq.batch_run", Fault::DropConnection, 10);
-        let err = measure_batched_resilient(
-            &sim,
-            &p,
-            &events,
-            1,
-            50,
-            &PmuModel::default(),
-            &RetryPolicy::immediate(2),
-            &faults,
-        )
-        .unwrap_err();
-        assert!(err.contains("gave up after 2 attempts"), "{err}");
     }
 
     #[test]

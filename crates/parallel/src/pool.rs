@@ -659,8 +659,8 @@ fn record_pool_counters(profiles: &[ChunkProfile], workers: usize) {
 /// workers, in submission order: each chunk goes to the least-loaded
 /// worker. This is the parallel wall time the recorded chunk costs imply
 /// for a given worker count, independent of how many cores the recording
-/// host actually had — the model `np bench-parallel` reports speedups
-/// from (and the classic 2-approximation of the optimal schedule).
+/// host actually had — the model `np bench` reports pooled cells'
+/// speedups from (and the classic 2-approximation of the optimal schedule).
 pub fn modeled_makespan_ns(chunk_ns: &[u64], workers: usize) -> u64 {
     let mut load = vec![0u64; workers.max(1)];
     for &c in chunk_ns {

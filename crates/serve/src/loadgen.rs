@@ -58,7 +58,7 @@ impl Default for LoadgenConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LoadSummary {
     /// Provenance of the run (host, threads, commit) — the schema block
-    /// shared with the bench-parallel baseline.
+    /// shared with every np-bench/1 report.
     pub meta: BenchMeta,
     /// Seed the synthetic workload ran with.
     pub seed: u64,

@@ -19,7 +19,7 @@ pub const BENCH_META_VERSION: u64 = 1;
 pub struct BenchMeta {
     /// [`BENCH_META_VERSION`].
     pub meta_version: u64,
-    /// Emitting tool (`bench-parallel`, `loadgen`).
+    /// Emitting tool (`np-bench`, `loadgen`).
     pub tool: String,
     /// Hostname (env `HOSTNAME`/`HOST`, else `unknown`).
     pub host: String,

@@ -5,8 +5,9 @@
 # toolchain drift; CI also checks the pinned MSRV toolchain).
 #
 # Usage: scripts/ci-local.sh [--quick] [--sanitizers]
-#   --quick       skip the nightly-tier jobs (fault matrix re-run in
-#                 release mode, overhead guard, telemetry snapshot)
+#   --quick       skip the nightly-tier jobs (fault matrices and
+#                 resilience unit suites in release mode, overhead
+#                 guards, telemetry snapshot, artifact smokes)
 #   --sanitizers  additionally run the nightly sanitizer pass (TSan on
 #                 np-parallel/np-serve, Miri on np-telemetry and the
 #                 serde_json shim); each leg skips gracefully when the
@@ -90,6 +91,9 @@ if [[ "$quick" -eq 0 ]]; then
   echo "== nightly: exchange fault matrix (release) =="
   cargo test --release --offline --test integration_serve
 
+  echo "== nightly: resilience unit suites (release) =="
+  cargo test --release --offline -p np-resilience -p np-core -p np-counters
+
   echo "== nightly: telemetry overhead guard =="
   cargo test --release --offline -p np-bench --test telemetry_overhead
 
@@ -109,10 +113,10 @@ if [[ "$quick" -eq 0 ]]; then
     --clients 8 --frames 16 --seed 1 --smoke --out "$bench"
   echo "exchange benchmark written to $bench"
 
-  echo "== nightly: worker-pool smoke (np bench-parallel --smoke) =="
-  pbench="$(mktemp -t np-bench-parallel.XXXXXX.json)"
-  cargo run --release --offline --quiet -- bench-parallel \
-    --machine two-socket --seed 1 --smoke --out "$pbench"
+  echo "== nightly: worker-pool smoke (np bench --config baselines/bench-parallel.toml) =="
+  pbench="$(mktemp -t np-bench-pool.XXXXXX.json)"
+  cargo run --release --offline --quiet -- bench --smoke \
+    --config baselines/bench-parallel.toml --out "$pbench"
   echo "worker-pool benchmark written to $pbench"
 
   echo "== nightly: sampled campaign + HTML report (np run / np report) =="

@@ -22,6 +22,9 @@ cargo test -q --offline
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace --offline
 
+echo "== benchmark package tests (own workspace under benchmark/) =="
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== np audit (concurrency & determinism audit) =="
 audit_inv="$(mktemp -t np-unsafe-inventory.XXXXXX.md)"
 cargo run --release --offline --quiet -- audit --inventory "$audit_inv"

@@ -41,8 +41,6 @@ pub enum Command {
     Serve,
     /// Benchmark a running (or in-process) exchange.
     Loadgen,
-    /// Benchmark the deterministic worker pool (sequential vs threaded).
-    BenchParallel,
     /// Matrix benchmark harness: run / diff / trend / speedup.
     Bench,
     /// Sampled measurement campaign: deterministic time-series capture.
@@ -77,7 +75,6 @@ impl Command {
             "audit" => Command::Audit,
             "serve" => Command::Serve,
             "loadgen" => Command::Loadgen,
-            "bench-parallel" => Command::BenchParallel,
             "bench" => Command::Bench,
             "run" => Command::Run,
             "top" => Command::Top,
@@ -134,10 +131,10 @@ pub struct Cli {
     pub clients: usize,
     /// `loadgen`: frames each session sends.
     pub frames: usize,
-    /// `loadgen`/`bench-parallel`: fail unless the run passes its smoke
+    /// `loadgen`/`bench`: fail unless the run passes its smoke
     /// invariants.
     pub smoke: bool,
-    /// `loadgen`/`bench-parallel`: summary output path.
+    /// `loadgen`/`bench`/`run`/`report`/`patterns`: output path.
     pub out: String,
     /// `serve`/`loadgen`: store shard count.
     pub shards: usize,
@@ -231,9 +228,8 @@ impl Cli {
             clients: 8,
             frames: 40,
             smoke: false,
-            // `--out` default tracks the command's baseline file.
+            // `--out` default tracks the command's artifact.
             out: match command {
-                Command::BenchParallel => "baselines/bench-parallel.json",
                 Command::Bench => "BENCH_matrix.json",
                 Command::Run => "CAPTURE.json",
                 Command::Report => "REPORT.html",
@@ -451,6 +447,10 @@ mod tests {
         assert!(parse(&[]).is_err());
         assert!(parse(&["frobnicate"]).is_err());
         assert!(parse(&["lint"]).is_err(), "lint's rules live in `audit`");
+        assert!(
+            parse(&["bench-parallel"]).is_err(),
+            "the pool matrix is a `bench --config` file"
+        );
         assert!(parse(&["stat", "--bogus"]).is_err());
         assert!(parse(&["stat", "--size"]).is_err());
         assert!(parse(&["stat", "--size", "abc"]).is_err());
@@ -577,30 +577,6 @@ mod tests {
         assert_eq!(cli.clients, 8);
         assert_eq!(cli.frames, 40);
         assert_eq!(cli.out, "BENCH_serve.json");
-        assert!(!cli.smoke);
-    }
-
-    #[test]
-    fn bench_parallel_parses() {
-        let cli = parse(&[
-            "bench-parallel",
-            "--reps",
-            "8",
-            "--seed",
-            "7",
-            "--smoke",
-            "--out",
-            "bp.json",
-        ])
-        .unwrap();
-        assert_eq!(cli.command, Command::BenchParallel);
-        assert_eq!(cli.reps, 8);
-        assert_eq!(cli.seed, 7);
-        assert!(cli.smoke);
-        assert_eq!(cli.out, "bp.json");
-        // The default baseline path is per-command.
-        let cli = parse(&["bench-parallel"]).unwrap();
-        assert_eq!(cli.out, "baselines/bench-parallel.json");
         assert!(!cli.smoke);
     }
 

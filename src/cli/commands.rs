@@ -35,7 +35,6 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
         Command::Audit => audit_cmd(cli),
         Command::Serve => serve_cmd(cli),
         Command::Loadgen => loadgen_cmd(cli),
-        Command::BenchParallel => bench_parallel_cmd(cli),
         Command::Bench => bench_cmd(cli),
         Command::Run => run_cmd(cli),
         Command::Top => top::run_top(cli),
@@ -344,85 +343,6 @@ fn patterns_single(cli: &Cli) -> Result<String, String> {
     text.push_str(&format!("\ndocument -> {}\n", cli.out));
     let doc = np_patterns::PatternsDoc::new(name, vec![case], Vec::new());
     patterns_emit(cli, &doc, text)
-}
-
-/// `np bench-parallel`: compatibility shim over the `np bench` matrix
-/// harness. The historical five-path pool benchmark (campaign, Memhist
-/// ladder, Phasenprüfer pivot scan, correlation sweep, analysis sweep)
-/// is now a matrix config run through [`np_bench::harness::run_matrix`],
-/// so the artifact is the unified `np-bench/1` schema instead of the
-/// retired hand-rolled `bench-parallel/2` JSON. `--smoke` still turns
-/// the bit-equality audits into the exit status; speedup numbers are
-/// reported, never gated (they depend on host cores).
-fn bench_parallel_cmd(cli: &Cli) -> Result<String, String> {
-    use np_bench::harness::config::{CellSpec, MatrixConfig};
-
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut thread_counts = vec![1usize, 2, 4, host];
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-
-    // --smoke shrinks every path so CI stays fast; the audit is identical.
-    let (camp_reps, camp_size, ladder_size, foot_len) = if cli.smoke {
-        (cli.reps.max(6), 48.0, 65536.0, 160.0)
-    } else {
-        (cli.reps.max(16), 96.0, 524288.0, 360.0)
-    };
-    let mut campaign = CellSpec::named("campaign");
-    campaign.params.insert("size".to_string(), camp_size);
-    campaign.params.insert("reps".to_string(), camp_reps as f64);
-    let mut ladder = CellSpec::named("memhist-ladder");
-    ladder.params.insert("size".to_string(), ladder_size);
-    let mut phasen = CellSpec::named("phasen-scan");
-    phasen.params.insert("footprint".to_string(), foot_len);
-    let correlate = CellSpec::named("correlate-sweep");
-    let mut analysis = CellSpec::named("analysis-sweep");
-    analysis.params.insert("size".to_string(), camp_size);
-    let cfg = MatrixConfig {
-        machine: cli.machine.clone(),
-        warmup: 0,
-        repeats: 1,
-        seed: cli.seed,
-        threads: thread_counts.clone(),
-        cells: vec![campaign, ladder, phasen, correlate, analysis],
-    };
-
-    let mut report = np_bench::harness::run_matrix(&cfg, cli.threads.max(1))?;
-    report.bench_meta.tool = "bench-parallel".to_string();
-    std::fs::write(&cli.out, report.to_json_pretty()?)
-        .map_err(|e| format!("bench-parallel: cannot write '{}': {e}", cli.out))?;
-
-    let audit_ok = report.audit_ok();
-    let mut out = String::from("== deterministic worker-pool benchmark ==\n");
-    out.push_str(&format!(
-        "host threads {host}; thread counts {thread_counts:?}; \
-         modeled speedup = sequential chunk-cost total / greedy makespan\n\n"
-    ));
-    out.push_str(&np_bench::harness::formats::live_table(&report));
-    out.push_str("\nmodeled speedup:\n");
-    for c in &report.cells {
-        if let Some(s) = c.metrics.get("modeled_speedup") {
-            out.push_str(&format!("  {:<24} {s:.2}x\n", c.id));
-        }
-    }
-    out.push_str(&format!(
-        "\naudit: {}\nsummary written to {} ({})\n",
-        if audit_ok {
-            "every pooled result bit-identical to sequential"
-        } else {
-            "DIVERGENCE detected"
-        },
-        cli.out,
-        np_bench::harness::BENCH_SCHEMA,
-    ));
-    if cli.smoke {
-        if audit_ok {
-            out.push_str("smoke: OK\n");
-        } else {
-            return Err(format!("bench-parallel --smoke failed:\n{out}"));
-        }
-    }
-    Ok(out)
 }
 
 /// `np bench`: the matrix harness front-end. The first positional word
@@ -1277,6 +1197,30 @@ mod tests {
     }
 
     #[test]
+    fn sampled_run_rejects_multiplexed_acquisition() {
+        let out_path = std::env::temp_dir().join(format!("np-run-mux-{}.json", std::process::id()));
+        let err = run(&[
+            "run",
+            "--sample",
+            "--multiplexed",
+            "--workload",
+            "stream-local",
+            "--machine",
+            "two-socket",
+            "--reps",
+            "2",
+            "--out",
+            out_path.to_str().unwrap(),
+        ])
+        .unwrap_err();
+        assert!(
+            err.contains("capture") && err.contains("multiplexed"),
+            "{err}"
+        );
+        assert!(!out_path.exists(), "no capture may be written");
+    }
+
+    #[test]
     fn compare_requires_both_workloads() {
         let err = run(&["compare", "-a", "row-major"]).unwrap_err();
         assert!(err.contains("-b"));
@@ -1673,16 +1617,15 @@ mod tests {
     }
 
     #[test]
-    fn bench_parallel_smoke_audits_determinism() {
+    fn pool_matrix_config_smoke_audits_determinism() {
         let out_path =
-            std::env::temp_dir().join(format!("np-bench-parallel-{}.json", std::process::id()));
+            std::env::temp_dir().join(format!("np-pool-matrix-{}.json", std::process::id()));
+        let config = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/bench-parallel.toml");
         let out = run(&[
-            "bench-parallel",
-            "--machine",
-            "two-socket",
+            "bench",
             "--smoke",
-            "--seed",
-            "3",
+            "--config",
+            config,
             "--out",
             out_path.to_str().unwrap(),
         ])
@@ -1698,11 +1641,12 @@ mod tests {
         ] {
             assert!(out.contains(path), "missing path {path} in {out}");
         }
-        // The artifact is the unified np-bench/1 schema with the
-        // bench-parallel tool tag, one cell per (path, thread count).
+        // One np-bench/1 cell per (path, thread count), every one
+        // bit-identical to its sequential loop.
         let json = std::fs::read_to_string(&out_path).unwrap();
         let report = np_bench::harness::BenchReport::from_json(&json).unwrap();
-        assert_eq!(report.bench_meta.tool, "bench-parallel");
+        assert_eq!(report.machine, "two-socket");
+        assert_eq!(report.cells.len(), 15);
         assert!(report.audit_ok(), "every pooled cell must audit clean");
         assert!(report.cells.iter().any(|c| c.id.starts_with("campaign/t")));
         // Pooled drivers carry the makespan model; the single-pass sweeps

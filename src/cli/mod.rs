@@ -80,10 +80,6 @@ COMMANDS:
     loadgen     benchmark an exchange: seeded concurrent load, cache-hit
                 speedup and cross-machine transfer audit (np-bench/1
                 artifact)
-    bench-parallel
-                benchmark the deterministic worker pool: sequential vs
-                2/4/N threads on every pooled path, with a bit-equality
-                audit (np-bench/1 artifact)
     bench       matrix benchmark harness: `bench [run]` executes a
                 declarative workload x threads matrix (--config FILE,
                 default: the built-in smoke matrix) with warmup + repeat
@@ -145,11 +141,10 @@ OPTIONS:
     --frames N         loadgen: frames per session (default 40)
     --smoke            loadgen: fail unless the run is error-free, the
                        cache was exercised and the transfer audit passed;
-                       bench-parallel / bench: fail unless every cell
-                       audit (bit-equality vs sequential) held
-    --out FILE         loadgen / bench-parallel / bench: artifact path
-                       (defaults BENCH_serve.json / BENCH_matrix.json /
-                       baselines/bench-parallel.json)
+                       bench: fail unless every cell audit
+                       (bit-equality vs sequential) held
+    --out FILE         loadgen / bench: artifact path
+                       (defaults BENCH_serve.json / BENCH_matrix.json)
     --config FILE      bench: matrix config, TOML subset or JSON
     --baseline FILE    bench diff: baseline report (or first positional)
     --current FILE     bench diff/trend/speedup: pre-recorded report
@@ -244,8 +239,9 @@ pub fn resilience_help() -> &'static str {
 
 Remote measurement (the Memhist TCP probe of Fig. 6) and long
 acquisition campaigns run against links and machines that fail. The
-np-resilience crate supplies the policy layer; the probe client/server,
-the acquisition batcher and the campaign runner are wired through it.
+np-resilience crate supplies the policy layer; the probe client/server
+and the cycling PEBS rotation are wired through it, and the exchange
+server reuses its deadlines and fault injection.
 
 RETRY:       exponential backoff with deterministic, seedable jitter
              (a schedule is a pure function of its seed), a max-attempt
@@ -270,7 +266,6 @@ FAULT INJECTION (tests and drills):
     delay, garbage-bytes, refuse-accept — can be queued per site:
         probe.accept        server accept loop
         probe.response      server response path
-        acq.batch_run       one batched acquisition run
         acq.pebs.rotation   one PEBS threshold rotation timeslice
     The fault matrix in tests/integration_resilience.rs drives every
     fault through a live probe round-trip nightly in CI.
@@ -281,9 +276,6 @@ TELEMETRY (with --telemetry FILE):
     probe.fetch.*             chunks, chunks_lost, degraded fetches,
                               deadline_exceeded
     probe.faults.*            server-side injected fault outcomes
-    acq.retries / acq.faults  acquisition retry traffic
-    runner.failed_repetitions / runner.skipped_repetitions
-    runner.circuit.*          campaign breaker state
     session.quarantined       corrupt archives quarantined
 
 CI:
@@ -550,15 +542,13 @@ FAILURE SEMANTICS:
     pool value keeps working after a panic.
 
 BENCHMARK:
-    numa-perf-tools bench-parallel [--smoke] [--out FILE]
-    runs every pooled path at 1/2/4/N threads through the `np bench`
-    matrix harness and writes the unified np-bench/1 artifact (default
-    baselines/bench-parallel.json, the committed baseline): per cell,
-    wall-time samples, a modeled
-    speedup (greedy makespan of the sequential chunk costs —
-    meaningful even on a single-core CI host), and a bit-equality
-    audit. --smoke gates ONLY the audit; speedups are reported, never
-    gated.
+    numa-perf-tools bench --smoke --config baselines/bench-parallel.toml
+    runs every pooled path at 1/2/4 threads through the `np bench`
+    matrix harness and writes the unified np-bench/1 artifact: per
+    cell, wall-time samples, a modeled speedup (greedy makespan of the
+    sequential chunk costs — meaningful even on a single-core CI host),
+    and a bit-equality audit. --smoke gates ONLY the audit; speedups
+    are reported, never gated.
 
 TELEMETRY (with --telemetry FILE):
     par.tasks      chunks executed
@@ -574,9 +564,8 @@ pub fn bench_help() -> &'static str {
 
 `bench` runs a declarative matrix of workload x threads x params cells
 with warmup + repeat sampling and writes one versioned np-bench/1 JSON
-report. One schema for every benchmark artifact: the matrix harness,
-`bench-parallel` and `loadgen` all emit it, and the diff/trend tooling
-reads them all.
+report. One schema for every benchmark artifact: the matrix harness
+and `loadgen` both emit it, and the diff/trend tooling reads them all.
 
     numa-perf-tools bench [run] [--config FILE] [--threads N]
                           [--out FILE] [--md FILE] [--csv FILE] [--smoke]
@@ -823,13 +812,12 @@ mod tests {
     #[test]
     fn help_topics_cover_the_worker_pool() {
         assert!(super::usage().contains("help parallel"));
-        assert!(super::usage().contains("bench-parallel"));
         for term in [
             "bit-identical",
             "submission order",
             "Seeded",
             "Replay",
-            "baselines/bench-parallel.json",
+            "baselines/bench-parallel.toml",
             "par.steal",
             "no-wall-clock",
         ] {

@@ -72,7 +72,36 @@ fn cli_produces_snapshot_and_valid_chrome_trace() {
         live.iter().any(|n| n.starts_with("sim.mem_ops.node")),
         "{live:?}"
     );
-    assert!(snap.get("histograms").is_some());
+
+    // The campaign's counted work: one all-events campaign of two
+    // repetitions, each acquiring its 9 register batches as one logical
+    // run apiece (`plan.total_runs()` = 18), and one span per repetition.
+    let count = |v: Option<&Value>| -> u64 {
+        match v {
+            Some(Value::UInt(u)) => *u,
+            Some(Value::Int(i)) => u64::try_from(*i).unwrap(),
+            other => panic!("not a count: {other:?}"),
+        }
+    };
+    for (name, expected) in [
+        ("runner.campaigns", 1),
+        ("runner.repetitions", 2),
+        ("runner.reps_done", 2),
+        ("acq.batched.batch_runs", 18),
+        ("acq.runs", 18),
+        ("sim.runs", 18),
+    ] {
+        assert_eq!(
+            count(snap.get("counters").and_then(|c| c.get(name))),
+            expected,
+            "counter {name}"
+        );
+    }
+    let histograms = snap.get("histograms").expect("histograms section");
+    let reps = histograms
+        .get("span.runner.repetition")
+        .expect("runner.repetition span recorded");
+    assert_eq!(count(reps.get("count")), 2, "runner.repetition samples");
 
     // --- Chrome trace --------------------------------------------------
     let trace_text = std::fs::read_to_string(&trace).unwrap();
