@@ -208,8 +208,8 @@ fn campaign(
     })
 }
 
-/// `memhist-ladder`: the threshold ladder, one dedicated run per
-/// threshold, pooled vs sequential.
+/// `memhist-ladder`: the threshold ladder, every threshold counted off one
+/// observed run; the pooled entry point against the sequential one.
 fn memhist_ladder(
     spec: &CellSpec,
     threads: usize,

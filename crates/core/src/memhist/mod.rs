@@ -17,7 +17,7 @@
 
 pub mod probe;
 
-use np_counters::pebs::{CyclingPebs, PebsCollector};
+use np_counters::pebs::CyclingPebs;
 use np_simulator::{MachineSim, Program};
 pub use np_stats::histogram::HistogramMode;
 use np_stats::histogram::LatencyHistogram;
@@ -210,56 +210,26 @@ impl Memhist {
         MemhistResult::complete(histogram, vec![], 0)
     }
 
-    /// One dedicated PEBS run for `threshold`: the exact exceedance count
-    /// the hardware would report with that single event programmed for the
-    /// whole run. Pure in `(program, seed)`, like the simulator itself.
-    fn ladder_count(&self, sim: &MachineSim, program: &Program, seed: u64, threshold: u64) -> i64 {
-        // Max period: exceedances are counted in full, but almost no
-        // samples are recorded — the ladder only needs the counter.
-        let mut pebs = PebsCollector::new(threshold, u32::MAX);
-        // An invalid program contributes no samples; the histogram
-        // assembles from zero counts.
-        let _ = sim.run_observed(program, seed, &mut pebs);
-        pebs.exceed_count as i64
-    }
-
-    fn ladder_result(&self, counts: &[i64]) -> MemhistResult {
-        let histogram = LatencyHistogram::from_threshold_counts(&self.config.thresholds, counts)
-            .expect("thresholds validated in constructor");
-        MemhistResult::complete(histogram, vec![], 0)
-    }
-
-    /// Ladder measurement: one dedicated, identically-seeded run per
-    /// threshold instead of time cycling. Every run observes the same
-    /// simulated execution, so each exceedance count is exact and the
-    /// assembled histogram is bit-identical to [`Memhist::measure_exact`]
-    /// — at the cost of `thresholds.len()` runs, which is precisely the
-    /// trade [`Memhist::measure_ladder_pool`] parallelises away.
+    /// Ladder measurement: the exceedance count of every threshold as a
+    /// dedicated PEBS run per threshold would report it. Real hardware
+    /// needs `thresholds.len()` identically-configured runs for that; the
+    /// simulator is pure in `(program, seed)`, so every threshold is
+    /// counted off the same load stream of one observed run, and the
+    /// result is [`Memhist::measure_exact`].
     pub fn measure_ladder(&self, sim: &MachineSim, program: &Program, seed: u64) -> MemhistResult {
-        let counts: Vec<i64> = self
-            .config
-            .thresholds
-            .iter()
-            .map(|&t| self.ladder_count(sim, program, seed, t))
-            .collect();
-        self.ladder_result(&counts)
+        self.measure_exact(sim, program, seed)
     }
 
-    /// [`Memhist::measure_ladder`] with the per-threshold runs fanned
-    /// across `pool`. Each run is an independent pure simulation and the
-    /// pool merges counts in threshold order, so the result is
-    /// bit-identical to the sequential ladder for any thread count.
+    /// [`Memhist::measure_ladder`]; `_pool` is unused, since one run leaves
+    /// nothing to fan out.
     pub fn measure_ladder_pool(
         &self,
         sim: &MachineSim,
         program: &Program,
         seed: u64,
-        pool: &np_parallel::Pool,
+        _pool: &np_parallel::Pool,
     ) -> MemhistResult {
-        let counts = pool.map(&self.config.thresholds, |&t| {
-            self.ladder_count(sim, program, seed, t)
-        });
-        self.ladder_result(&counts)
+        self.measure_ladder(sim, program, seed)
     }
 
     /// Measures with full visibility into *which level served each load*

@@ -66,7 +66,9 @@ impl MeasurementPlan {
         self
     }
 
-    /// Total simulated runs this plan will execute.
+    /// Runs this plan costs on a real PMU: one per register batch per
+    /// repetition when batched. The simulator makes one run per
+    /// repetition either way, since it counts every event in every run.
     pub fn total_runs(&self) -> usize {
         match self.mode {
             AcquisitionMode::BatchedRuns => self.repetitions * self.pmu.runs_needed(&self.events),

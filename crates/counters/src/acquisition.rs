@@ -5,11 +5,13 @@
 //! results when many counters are measured" (§IV-A-1). Both strategies are
 //! implemented here so the claim is testable:
 //!
-//! * [`measure_batched`] — EvSel's approach. Events are split into
-//!   register-sized batches ([`PmuModel::batches`]); the *same* program is
-//!   re-run once per batch (with the same seed, so all batches of one
-//!   repetition observe the identical execution), and the per-batch exact
-//!   counts are merged into one [`Measurement`].
+//! * [`measure_batched`] — EvSel's approach. On real hardware the events
+//!   are split into register-sized batches ([`PmuModel::batches`]) and the
+//!   program is re-run once per batch with an identical configuration. The
+//!   simulator is pure in `(config, program, seed)` and counts every event
+//!   in every run, so those re-runs would all observe the same execution:
+//!   each repetition simulates once and reads every batch off that run.
+//!   The hardware cost stays visible as a count, not as simulation time.
 //! * [`measure_multiplexed`] — the perf default EvSel avoids. One run per
 //!   repetition; event groups rotate across timeslices and final counts are
 //!   extrapolated from each group's active fraction. Bursty events measured
@@ -19,7 +21,7 @@
 use crate::catalog::EventId;
 use crate::measurement::{Measurement, RunSet};
 use crate::pmu::PmuModel;
-use np_simulator::{Counters, MachineSim, Program, RunResult, SimObserver};
+use np_simulator::{Counters, MachineSim, Program, SimObserver};
 
 /// Which acquisition strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,13 +32,15 @@ pub enum AcquisitionMode {
     Multiplexed,
 }
 
-/// Measures `events` over `repetitions` of `program` by batching register
-/// groups across repeated runs (EvSel's strategy).
+/// Measures `events` over `repetitions` of `program` with exact counts
+/// (EvSel's strategy).
 ///
-/// Repetition `r` uses seed `base_seed + r` for *all* of its batch runs, so
-/// every batch observes the same simulated execution and merged counts are
-/// mutually consistent. Fixed-function events are taken from the first
-/// batch run (or a dedicated run when no batches exist).
+/// Repetition `r` simulates `program` once with seed `base_seed + r` and
+/// records every requested event and the run's cycles off that run: the
+/// values that real hardware's per-batch runs would merge into one
+/// [`Measurement`]. `acq.batched.batch_runs` counts those logical runs,
+/// [`PmuModel::runs_needed`] per repetition; `acq.runs` counts the
+/// simulations, one per repetition.
 pub fn measure_batched(
     sim: &MachineSim,
     program: &Program,
@@ -46,41 +50,20 @@ pub fn measure_batched(
     pmu: &PmuModel,
 ) -> Result<RunSet, String> {
     let _span = np_telemetry::span!("acq.batched", "counters");
-    let batches = pmu.batches(events);
+    let batch_runs = pmu.runs_needed(events) as u64;
     let mut set = RunSet::new("batched");
     for rep in 0..repetitions {
         let seed = base_seed + rep as u64;
-        let run = || {
-            np_telemetry::counter!("acq.runs").inc();
-            sim.run(program, seed)
-        };
+        np_telemetry::counter!("acq.runs").inc();
+        np_telemetry::counter!("acq.batched.batch_runs").add(batch_runs);
+        let result = sim
+            .run(program, seed)
+            .map_err(|e| format!("repetition {rep}: invalid program: {e}"))?;
         let mut m = Measurement::new(seed);
-        let record_fixed = |m: &mut Measurement, result: &RunResult| {
-            for &f in &pmu.fixed {
-                if events.contains(&f) {
-                    m.values.insert(f, result.total(f) as f64);
-                }
-            }
-            m.cycles = result.cycles;
-        };
-        if batches.is_empty() {
-            let result = run()
-                .map_err(|e| format!("repetition {rep} fixed-counter run: invalid program: {e}"))?;
-            record_fixed(&mut m, &result);
+        for &e in events {
+            m.values.insert(e, result.total(e) as f64);
         }
-        for (bi, batch) in batches.iter().enumerate() {
-            // The PMU only exposes the programmed registers; the simulator
-            // counts everything, so visibility filtering happens here.
-            np_telemetry::counter!("acq.batched.batch_runs").inc();
-            let result =
-                run().map_err(|e| format!("repetition {rep} batch {bi}: invalid program: {e}"))?;
-            if bi == 0 {
-                record_fixed(&mut m, &result);
-            }
-            for &e in batch {
-                m.values.insert(e, result.total(e) as f64);
-            }
-        }
+        m.cycles = result.cycles;
         set.runs.push(m);
         // Campaign progress for the live sampler (`np top`): one point
         // per finished repetition, timestamped in monotonic ns (this is
@@ -89,11 +72,7 @@ pub fn measure_batched(
         // off.
         if np_telemetry::timeseries::sampling_enabled() {
             np_telemetry::timeseries::sample("acq.reps", np_telemetry::now_ns(), 1);
-            np_telemetry::timeseries::sample(
-                "acq.cycles",
-                np_telemetry::now_ns(),
-                set.runs.last().map_or(0, |m| m.cycles),
-            );
+            np_telemetry::timeseries::sample("acq.cycles", np_telemetry::now_ns(), result.cycles);
         }
     }
     Ok(set)

@@ -33,7 +33,8 @@ impl PmuModel {
     /// programmable registers; fixed events are excluded (they are always
     /// measured). Duplicate requests are collapsed. The number of batches
     /// is the number of *repeated identically-configured runs* EvSel needs
-    /// per repetition.
+    /// per repetition on real hardware; the simulator reads every batch
+    /// off one run, so this is the logical cost only.
     pub fn batches(&self, events: &[EventId]) -> Vec<Vec<EventId>> {
         let mut seen = std::collections::HashSet::new();
         let programmable: Vec<EventId> = events

@@ -23,11 +23,12 @@ fn main() {
     let workload = CacheMissKernel::row_major(256);
     let plan = MeasurementPlan::all_events(5, 42);
     println!(
-        "Measuring {:?}: {} events, {} repetitions, {} simulated runs",
+        "Measuring {:?}: {} events, {} repetitions, {} runs on hardware, {} simulated",
         workload.name(),
         plan.events.len(),
         plan.repetitions,
-        plan.total_runs()
+        plan.total_runs(),
+        plan.repetitions
     );
     let runs = runner.measure(&workload, &plan).expect("measurement");
 

@@ -46,6 +46,9 @@ cargo test -q --workspace --offline
 echo "== benchmark package tests (own workspace under benchmark/) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== one-run acquisition oracle, full registry (release) =="
+cargo test --release --offline --test differential_acquisition -- --include-ignored
+
 echo "== determinism matrix under varied harness threads =="
 cargo test -q --offline --test integration_parallel -- --test-threads 1
 cargo test -q --offline --test integration_parallel -- --test-threads 8

@@ -25,6 +25,9 @@ cargo test -q --workspace --offline
 echo "== benchmark package tests (own workspace under benchmark/) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== one-run acquisition oracle, full registry (release) =="
+cargo test --release --offline --test differential_acquisition -- --include-ignored
+
 echo "== np audit (concurrency & determinism audit) =="
 audit_inv="$(mktemp -t np-unsafe-inventory.XXXXXX.md)"
 cargo run --release --offline --quiet -- audit --inventory "$audit_inv"

@@ -979,21 +979,24 @@ fn stat(cli: &Cli) -> Result<String, String> {
     let name = workload_name(cli)?;
     let w = workloads::build(name, cli.size, cli.threads, &machine)?;
     let runner = Runner::new(machine);
-    let runs = runner.measure(w.as_ref(), &plan(cli))?;
+    let plan = plan(cli);
+    let runs = runner.measure(w.as_ref(), &plan)?;
     if let Some(save) = &cli.save {
         session(cli)?
             .save(save, &runs)
             .map_err(|e| format!("save: {e}"))?;
     }
     let mut out = format!(
-        "counters for {} ({} repetitions, {}):\n\n",
+        "counters for {} ({} repetitions, {}; {} runs on hardware, {} simulated):\n\n",
         runs.label,
         runs.len(),
         if cli.multiplexed {
             "multiplexed"
         } else {
             "batched runs"
-        }
+        },
+        plan.total_runs(),
+        runs.len()
     );
     for event in runs.events() {
         let mean = runs.mean(event).unwrap_or(0.0);
@@ -1194,6 +1197,15 @@ mod tests {
         .unwrap();
         assert!(out.contains("instructions"));
         assert!(out.contains("stayed zero"));
+        // All 35 events need 9 register batches per repetition on a real
+        // PMU; the simulator runs each repetition once.
+        assert!(
+            out.lines()
+                .next()
+                .unwrap()
+                .ends_with("18 runs on hardware, 2 simulated):"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -215,7 +215,9 @@ instrumentation site while off. Two global flags turn it on:
 WHAT IS RECORDED:
     sim.*       simulator throughput: runs, instructions, cycles,
                 per-NUMA-node memory ops, cache/coherence event totals
-    acq.*       acquisition: sim runs executed, batched register runs,
+    acq.*       acquisition: acq.runs counts simulations (one per
+                repetition), acq.batched.batch_runs the logical
+                register-batch runs real hardware would need for them;
                 multiplexed timeslices, PEBS threshold rotations
     runner.*    campaigns, repetitions, pool fan-out occupancy
     par.*       worker pool: tasks executed, chunks run beyond a fair
@@ -514,10 +516,11 @@ pub fn parallel_help() -> &'static str {
     "Deterministic worker-pool execution
 ===================================
 
-Campaigns, the Memhist threshold ladder, the Phasenprüfer pivot scan,
-the all-counters correlation sweep and the differential-envelope
-analysis sweep all fan out across the np-parallel pool: a
-zero-dependency, std::thread-based fork-join layer.
+Campaigns, the Phasenprüfer pivot scan, the all-counters correlation
+sweep and the differential-envelope analysis sweep all fan out across
+the np-parallel pool: a zero-dependency, std::thread-based fork-join
+layer. (The Memhist threshold ladder reads every threshold off one
+run, so it has nothing to fan out.)
 
 DETERMINISM CONTRACT:
     Results merge in submission order (by chunk index, not completion

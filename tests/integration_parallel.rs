@@ -1,9 +1,10 @@
 //! The determinism matrix: every pooled path in the suite — campaign,
-//! Memhist threshold ladder, Phasenprüfer pivot scan, all-counters
-//! correlation sweep, analysis sweep — must be bit-identical across
-//! threads ∈ {1, 2, 8} and to its sequential implementation. This is
-//! the np-parallel contract exercised end-to-end through the real
-//! tools, not through synthetic pool tasks.
+//! Phasenprüfer pivot scan, all-counters correlation sweep, analysis
+//! sweep — must be bit-identical across threads ∈ {1, 2, 8} and to its
+//! sequential implementation. This is the np-parallel contract exercised
+//! end-to-end through the real tools, not through synthetic pool tasks.
+//! The Memhist threshold ladder reads every threshold off one run and
+//! ignores its pool; its entry point is still checked at every width.
 
 use np_core::evsel::{EvSel, ParameterSweep};
 use np_core::memhist::Memhist;

@@ -74,8 +74,9 @@ fn cli_produces_snapshot_and_valid_chrome_trace() {
     );
 
     // The campaign's counted work: one all-events campaign of two
-    // repetitions, each acquiring its 9 register batches as one logical
-    // run apiece (`plan.total_runs()` = 18), and one span per repetition.
+    // repetitions, each one simulation that stands for its 9 register
+    // batches' logical runs (`plan.total_runs()` = 18), and one span per
+    // repetition.
     let count = |v: Option<&Value>| -> u64 {
         match v {
             Some(Value::UInt(u)) => *u,
@@ -88,8 +89,8 @@ fn cli_produces_snapshot_and_valid_chrome_trace() {
         ("runner.repetitions", 2),
         ("runner.reps_done", 2),
         ("acq.batched.batch_runs", 18),
-        ("acq.runs", 18),
-        ("sim.runs", 18),
+        ("acq.runs", 2),
+        ("sim.runs", 2),
     ] {
         assert_eq!(
             count(snap.get("counters").and_then(|c| c.get(name))),
