@@ -1,6 +1,6 @@
 //! Declarative matrix configuration for `np bench`.
 //!
-//! A config is a small TOML subset (or the equivalent JSON object):
+//! A config is a small TOML subset:
 //!
 //! ```toml
 //! # global axes and sampling discipline
@@ -20,14 +20,11 @@
 //! threads  = [2, 4]          # per-cell override of the global axis
 //! ```
 //!
-//! The TOML reader handles exactly this shape: top-level `key = value`
+//! The reader handles exactly this shape: top-level `key = value`
 //! lines, `[[cell]]` sections, integers, floats, quoted strings and flat
-//! integer arrays — no nesting, no multi-line values. JSON configs (a
-//! file whose first non-space byte is `{`) carry the same fields:
-//! `{"machine": ..., "threads": [...], "cells": [{"workload": ...}]}`.
+//! integer arrays — no nesting, no multi-line values.
 
-use serde::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The parsed matrix: global sampling parameters plus cell specs.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,18 +101,12 @@ impl MatrixConfig {
         let mut loadgen = CellSpec::named("loadgen");
         loadgen.params.insert("frames".to_string(), 8.0);
         loadgen.threads = Some(vec![2]);
+        let mut sim = CellSpec::named("sim-throughput");
+        sim.params.insert("size".to_string(), 20000.0);
+        sim.threads = Some(vec![1]);
         MatrixConfig {
-            cells: vec![campaign, ladder, phasen, correlate, analysis, loadgen],
+            cells: vec![campaign, ladder, phasen, correlate, analysis, loadgen, sim],
             ..MatrixConfig::default()
-        }
-    }
-
-    /// Parses a config from TOML-subset or JSON text.
-    pub fn parse(text: &str) -> Result<MatrixConfig, String> {
-        if text.trim_start().starts_with('{') {
-            Self::from_json(text)
-        } else {
-            Self::from_toml(text)
         }
     }
 
@@ -137,51 +128,8 @@ impl MatrixConfig {
         out
     }
 
-    fn from_json(text: &str) -> Result<MatrixConfig, String> {
-        let v = serde_json::parse_value(text).map_err(|e| format!("bench config: {e}"))?;
-        let mut cfg = MatrixConfig::default();
-        if let Some(m) = v.get("machine") {
-            cfg.machine = as_str(m, "machine")?;
-        }
-        if let Some(w) = v.get("warmup") {
-            cfg.warmup = as_u64(w, "warmup")? as usize;
-        }
-        if let Some(r) = v.get("repeats") {
-            cfg.repeats = as_u64(r, "repeats")? as usize;
-        }
-        if let Some(s) = v.get("seed") {
-            cfg.seed = as_u64(s, "seed")?;
-        }
-        if let Some(t) = v.get("threads") {
-            cfg.threads = as_usize_array(t, "threads")?;
-        }
-        let cells = v
-            .get("cells")
-            .and_then(Value::as_array)
-            .ok_or("bench config: missing 'cells' array")?;
-        for (i, c) in cells.iter().enumerate() {
-            let entries = c
-                .as_object()
-                .ok_or_else(|| format!("bench config: cells[{i}] is not an object"))?;
-            let mut spec = CellSpec::named("");
-            for (k, val) in entries {
-                match k.as_str() {
-                    "workload" => spec.workload = as_str(val, "workload")?,
-                    "threads" => spec.threads = Some(as_usize_array(val, "threads")?),
-                    other => {
-                        spec.params.insert(other.to_string(), as_f64(val, other)?);
-                    }
-                }
-            }
-            if spec.workload.is_empty() {
-                return Err(format!("bench config: cells[{i}] has no 'workload'"));
-            }
-            cfg.cells.push(spec);
-        }
-        cfg.validate()
-    }
-
-    fn from_toml(text: &str) -> Result<MatrixConfig, String> {
+    /// Parses a config from TOML-subset text.
+    pub fn parse(text: &str) -> Result<MatrixConfig, String> {
         let mut cfg = MatrixConfig::default();
         let mut current: Option<CellSpec> = None;
         for (ln, raw) in text.lines().enumerate() {
@@ -254,6 +202,17 @@ impl MatrixConfig {
         if self.threads.is_empty() {
             return Err("bench config: the global 'threads' axis is empty".to_string());
         }
+        // `np bench diff` pairs cells by id: a second cell with a taken id
+        // would be judged against the first one's samples and digest.
+        let mut ids = BTreeSet::new();
+        for (_, _, id) in self.expand() {
+            if !ids.insert(id.clone()) {
+                return Err(format!(
+                    "bench config: two cells expand to the id '{id}' (ids carry only the \
+                     driver, thread count and size)"
+                ));
+            }
+        }
         Ok(self)
     }
 }
@@ -310,48 +269,6 @@ fn parse_toml_array(v: &str) -> Result<Vec<usize>, String> {
     Ok(out)
 }
 
-fn as_str(v: &Value, key: &str) -> Result<String, String> {
-    match v {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(format!(
-            "bench config: '{key}' expects a string, found {}",
-            other.kind()
-        )),
-    }
-}
-
-fn as_u64(v: &Value, key: &str) -> Result<u64, String> {
-    match v {
-        Value::UInt(u) => Ok(*u),
-        Value::Int(i) if *i >= 0 => Ok(*i as u64),
-        other => Err(format!(
-            "bench config: '{key}' expects an integer, found {}",
-            other.kind()
-        )),
-    }
-}
-
-fn as_f64(v: &Value, key: &str) -> Result<f64, String> {
-    match v {
-        Value::Float(f) => Ok(*f),
-        Value::UInt(u) => Ok(*u as f64),
-        Value::Int(i) => Ok(*i as f64),
-        other => Err(format!(
-            "bench config: '{key}' expects a number, found {}",
-            other.kind()
-        )),
-    }
-}
-
-fn as_usize_array(v: &Value, key: &str) -> Result<Vec<usize>, String> {
-    let arr = v
-        .as_array()
-        .ok_or_else(|| format!("bench config: '{key}' expects an array"))?;
-    arr.iter()
-        .map(|e| as_u64(e, key).map(|n| n as usize))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,22 +302,6 @@ threads = [2]
         assert_eq!(cfg.cells[0].workload, "phasen-scan");
         assert_eq!(cfg.cells[0].param_usize("footprint"), Some(120));
         assert_eq!(cfg.cells[1].threads, Some(vec![2]));
-    }
-
-    #[test]
-    fn json_config_parses_to_the_same_matrix() {
-        let json = r#"{
-            "machine": "two-socket", "warmup": 1, "repeats": 4, "seed": 7,
-            "threads": [1, 2, 8],
-            "cells": [
-                {"workload": "phasen-scan", "footprint": 120},
-                {"workload": "loadgen", "frames": 6, "threads": [2]}
-            ]
-        }"#;
-        assert_eq!(
-            MatrixConfig::parse(json).unwrap(),
-            MatrixConfig::parse(TOML).unwrap()
-        );
     }
 
     #[test]
@@ -439,6 +340,29 @@ threads = [2]
         let err = MatrixConfig::parse("[global]\n").unwrap_err();
         assert!(err.contains("[[cell]]"), "{err}");
         assert!(MatrixConfig::parse("{\"cells\": []}").is_err());
+    }
+
+    #[test]
+    fn cells_whose_ids_collide_are_rejected() {
+        // Ids carry no `footprint`, so both cells would be `phasen-scan/t1`.
+        let err = MatrixConfig::parse(
+            "threads = [1]\n\
+             [[cell]]\nworkload = \"phasen-scan\"\nfootprint = 120\n\
+             [[cell]]\nworkload = \"phasen-scan\"\nfootprint = 160\n",
+        )
+        .unwrap_err();
+        assert!(err.contains("'phasen-scan/t1'"), "{err}");
+        // A repeated thread count collides with itself.
+        let err = MatrixConfig::parse("threads = [2, 2]\n[[cell]]\nworkload = \"loadgen\"\n")
+            .unwrap_err();
+        assert!(err.contains("'loadgen/t2'"), "{err}");
+        // Different sizes keep the ids apart.
+        assert!(MatrixConfig::parse(
+            "threads = [1]\n\
+             [[cell]]\nworkload = \"campaign\"\nsize = 48\n\
+             [[cell]]\nworkload = \"campaign\"\nsize = 64\n",
+        )
+        .is_ok());
     }
 
     #[test]

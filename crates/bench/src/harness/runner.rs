@@ -3,11 +3,12 @@
 //! Each driver builds its fixture, computes the *sequential* reference
 //! result once (the bit-equality base), then runs warmup + `repeats`
 //! recorded samples of the pooled/concurrent path at the cell's thread
-//! count. Thread starts are barrier-synchronised (inside
-//! `np_parallel::Pool` and the loadgen hammer), so samples never fold
-//! spawn skew into the measured wall. All timing flows through
-//! `np_telemetry::now_ns` — this module sits in the audit's
-//! `no-wall-clock` scope.
+//! count. Drivers with no pool (`memhist-ladder`, `sim-throughput`)
+//! take their first run as the base. Thread starts are
+//! barrier-synchronised (inside `np_parallel::Pool` and the loadgen
+//! hammer), so samples never fold spawn skew into the measured wall. All
+//! timing flows through `np_telemetry::now_ns` — this module sits in the
+//! audit's `no-wall-clock` scope.
 
 use super::config::{CellSpec, MatrixConfig};
 use super::schema::{digest_str, BenchCell, BenchReport, BENCH_SCHEMA};
@@ -18,17 +19,18 @@ use np_core::runner::{MeasurementPlan, Runner};
 use np_counters::catalog::EventCatalog;
 use np_counters::measurement::{Measurement, RunSet};
 use np_counters::pmu::PmuModel;
-use np_simulator::{HwEvent, MachineConfig, MachineSim};
+use np_simulator::{AllocPolicy, HwEvent, MachineConfig, MachineSim, ProgramBuilder};
 use std::collections::BTreeMap;
 
 /// Every cell driver the harness knows, in matrix order.
-pub const DRIVERS: [&str; 6] = [
+pub const DRIVERS: [&str; 7] = [
     "campaign",
     "memhist-ladder",
     "phasen-scan",
     "correlate-sweep",
     "analysis-sweep",
     "loadgen",
+    "sim-throughput",
 ];
 
 /// Resolves a machine preset name, or loads a `MachineConfig` from a
@@ -142,6 +144,7 @@ fn drive(
         "correlate-sweep" => correlate_sweep(spec, threads, cfg),
         "analysis-sweep" => analysis_sweep(spec, threads, cfg, machine),
         "loadgen" => loadgen(spec, threads, cfg),
+        "sim-throughput" => sim_throughput(spec, cfg, machine),
         other => Err(format!(
             "np bench: unknown cell driver '{other}' (expected one of: {})",
             DRIVERS.join(", ")
@@ -208,8 +211,9 @@ fn campaign(
     })
 }
 
-/// `memhist-ladder`: the threshold ladder, every threshold counted off one
-/// observed run; the pooled entry point against the sequential one.
+/// `memhist-ladder`: the threshold ladder, every threshold's exceedance
+/// counted off one observed run of `mlc-local`; each sample must
+/// reproduce the first.
 fn memhist_ladder(
     spec: &CellSpec,
     threads: usize,
@@ -221,15 +225,10 @@ fn memhist_ladder(
     let w = np_workloads::registry::build("mlc-local", Some(size), threads, machine)?;
     let program = w.build(machine);
     let tool = Memhist::with_defaults();
-    let base = format!("{:?}", tool.measure_ladder(&sim, &program, cfg.seed));
+    let run = || format!("{:?}", tool.measure_exact(&sim, &program, cfg.seed));
+    let base = run();
     let items = np_core::memhist::MemhistConfig::default().thresholds.len();
-    let pool = np_parallel::Pool::new(threads);
-    let (samples_ns, audit_ok) = sample_cell(cfg.warmup, cfg.repeats, &base, || {
-        format!(
-            "{:?}",
-            tool.measure_ladder_pool(&sim, &program, cfg.seed, &pool)
-        )
-    });
+    let (samples_ns, audit_ok) = sample_cell(cfg.warmup, cfg.repeats, &base, run);
     Ok(CellOutcome {
         samples_ns,
         digest: digest_str(&base),
@@ -352,6 +351,51 @@ fn analysis_sweep(
         digest: digest_str(&base),
         audit_ok,
         metrics: speedup_metrics(items, &item_ns, threads),
+    })
+}
+
+/// `sim-throughput`: the simulator's load path, one thread at core 0:
+/// `size` loads at an 8-byte stride over 8 MiB, then `size` loads at a
+/// 4 KiB stride over 32 MiB, both buffers bound to node 0. Each sample
+/// must reproduce the first run's machine-wide totals and cycles.
+/// `det_accesses` counts the simulated loads, so ns per simulated access
+/// is `mean_ns / det_accesses`.
+fn sim_throughput(
+    spec: &CellSpec,
+    cfg: &MatrixConfig,
+    machine: &MachineConfig,
+) -> Result<CellOutcome, String> {
+    let size = spec.param_usize("size").unwrap_or(100_000);
+    let loads = |stride: u64, bytes: u64| {
+        let mut b = ProgramBuilder::new(&machine.topology, 4096);
+        let buf = b.alloc(bytes, AllocPolicy::Bind(0));
+        let t = b.add_thread(0);
+        for i in 0..size as u64 {
+            b.load(t, buf + (i * stride) % bytes);
+        }
+        b.build()
+    };
+    let programs = [loads(8, 8 << 20), loads(4096, 32 << 20)];
+    let sim = MachineSim::new(machine.clone());
+    let run = || -> Result<String, String> {
+        let mut out = String::new();
+        for program in &programs {
+            let r = sim
+                .run(program, cfg.seed)
+                .map_err(|e| format!("sim-throughput: {e}"))?;
+            out.push_str(&format!("{:?}@{};", r.counters.totals(), r.cycles));
+        }
+        Ok(out)
+    };
+    let base = run()?;
+    let (samples_ns, audit_ok) = sample_cell(cfg.warmup, cfg.repeats, &base, || {
+        run().unwrap_or_else(|e| format!("error: {e}"))
+    });
+    Ok(CellOutcome {
+        samples_ns,
+        digest: digest_str(&base),
+        audit_ok,
+        metrics: BTreeMap::from([("det_accesses".to_string(), (2 * size) as f64)]),
     })
 }
 

@@ -1,16 +1,15 @@
 //! # np-bench — the experiment harness
 //!
 //! One report binary per table/figure of the paper (run with
-//! `cargo run -p np-bench --release --bin report_<id>`), criterion benches
-//! for the same scenarios, and `report_all` to regenerate everything
-//! EXPERIMENTS.md records. Shared setup lives here so benches and reports
-//! measure identical configurations. The [`harness`] module is the
-//! `np bench` matrix harness: config-driven cells, the `np-bench/1`
-//! schema, baseline diffing and trend history.
+//! `cargo run -p np-bench --release --bin report_<id>`), and `report_all`
+//! to regenerate everything EXPERIMENTS.md records. Shared setup lives
+//! here so every report measures the same configuration. The [`harness`]
+//! module is the `np bench` matrix harness, the workspace's only timing
+//! harness: config-driven cells, the `np-bench/1` schema, baseline
+//! diffing and trend history.
 
 use np_core::evsel::ParameterSweep;
 use np_core::runner::{MeasurementPlan, Runner};
-use np_counters::catalog::EventId;
 use np_simulator::{MachineConfig, MachineSim};
 use np_workloads::parallel_sort::ParallelSortKernel;
 
@@ -24,32 +23,10 @@ pub fn dl580_sim() -> MachineSim {
     MachineSim::new(dl580())
 }
 
-/// The Fig. 8 event list: everything the §V-A-1 discussion mentions.
-pub fn fig8_events() -> Vec<EventId> {
-    use np_simulator::HwEvent::*;
-    vec![
-        Cycles,
-        Instructions,
-        StallCycles,
-        L1dMiss,
-        L2Miss,
-        L3Miss,
-        L2PrefetchReq,
-        L3Access,
-        L3Hit,
-        FillBufferReject,
-        BranchMiss,
-        BranchRetired,
-        DtlbMiss,
-        L1dLocked,
-    ]
-}
-
 /// The thread counts swept for Fig. 9.
 pub const FIG9_THREADS: [usize; 8] = [1, 2, 3, 4, 6, 8, 12, 16];
 
-/// Builds the measured Fig. 9 sweep (shared between the bench and the
-/// report so both describe the same data).
+/// Builds the measured Fig. 9 sweep.
 pub fn fig9_sweep(elements: usize, repetitions: usize) -> ParameterSweep {
     let runner = Runner::new(dl580());
     let plan = MeasurementPlan::all_events(repetitions, 7);
@@ -74,7 +51,6 @@ mod tests {
     #[test]
     fn shared_setup_is_consistent() {
         assert_eq!(dl580().topology.nodes, 4);
-        assert!(fig8_events().len() >= 10);
         assert_eq!(FIG9_THREADS[0], 1);
     }
 

@@ -2,9 +2,7 @@
 //! returning the text the corresponding `report_*` binary prints.
 //!
 //! Keeping these as library functions lets `report_all` regenerate every
-//! experiment in one invocation (the data recorded in EXPERIMENTS.md) and
-//! keeps the criterion benches and the reports on identical
-//! configurations.
+//! experiment in one invocation (the data recorded in EXPERIMENTS.md).
 
 pub mod ablations;
 pub mod figures;

@@ -5,7 +5,8 @@
 //! appends a complete event (`"ph": "X"`) to the global trace buffer.
 //! [`export_chrome_trace`] serializes that buffer in the Trace Event
 //! Format that `chrome://tracing`, Perfetto, and `speedscope` load — one
-//! JSON array of events with microsecond `ts`/`dur` fields.
+//! JSON array of events with `ts`/`dur` fields in microseconds, written
+//! to three decimals so spans shorter than 1 µs keep their duration.
 //!
 //! Timestamps are monotonic, relative to the first telemetry use in the
 //! process, so a whole measurement campaign shares one timeline.
@@ -29,10 +30,10 @@ pub struct TraceEvent {
     pub name: &'static str,
     /// Category (subsystem: `sim`, `runner`, `probe`, …).
     pub cat: &'static str,
-    /// Start, µs since the telemetry epoch.
-    pub ts_us: u64,
-    /// Duration in µs.
-    pub dur_us: u64,
+    /// Start, ns since the telemetry epoch.
+    pub ts_ns: u64,
+    /// Duration in ns.
+    pub dur_ns: u64,
     /// Small dense thread id (Chrome's `tid`).
     pub tid: u64,
 }
@@ -97,8 +98,8 @@ impl Drop for SpanTimer {
                 .push(TraceEvent {
                     name: self.name,
                     cat: self.cat,
-                    ts_us: start / 1_000,
-                    dur_us: dur / 1_000,
+                    ts_ns: start,
+                    dur_ns: dur,
                     tid: current_tid(),
                 });
         }
@@ -130,7 +131,7 @@ pub fn export_chrome_trace() -> String {
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .clone();
-    events.sort_by_key(|e| (e.ts_us, e.tid));
+    events.sort_by_key(|e| (e.ts_ns, e.tid));
     // Starts with a process-name metadata event, the convention Perfetto
     // shows titles with; real events follow comma-separated.
     let mut out = String::from(
@@ -138,16 +139,47 @@ pub fn export_chrome_trace() -> String {
          \"args\": {\"name\": \"numa-perf-tools\"}}",
     );
     for e in &events {
-        out.push_str(",\n{\"name\": ");
-        json_escape(&mut out, e.name);
-        out.push_str(", \"cat\": ");
-        json_escape(&mut out, e.cat);
-        let _ = write!(
-            out,
-            ", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}}}",
-            e.ts_us, e.dur_us, e.tid
-        );
+        write_event(&mut out, e);
     }
     out.push_str("]\n");
     out
+}
+
+/// Appends one complete event, `ts` and `dur` as µs with three decimals.
+fn write_event(out: &mut String, e: &TraceEvent) {
+    out.push_str(",\n{\"name\": ");
+    json_escape(out, e.name);
+    out.push_str(", \"cat\": ");
+    json_escape(out, e.cat);
+    let _ = write!(
+        out,
+        ", \"ph\": \"X\", \"ts\": {}.{:03}, \"dur\": {}.{:03}, \"pid\": 1, \"tid\": {}}}",
+        e.ts_ns / 1_000,
+        e.ts_ns % 1_000,
+        e.dur_ns / 1_000,
+        e.dur_ns % 1_000,
+        e.tid
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sub_microsecond_spans_keep_their_duration() {
+        let mut out = String::new();
+        write_event(
+            &mut out,
+            &TraceEvent {
+                name: "test.short",
+                cat: "test",
+                ts_ns: 5_000_007,
+                dur_ns: 1_234,
+                tid: 3,
+            },
+        );
+        assert!(out.contains("\"ts\": 5000.007,"), "{out}");
+        assert!(out.contains("\"dur\": 1.234,"), "{out}");
+    }
 }

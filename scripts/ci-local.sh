@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Reproduces the CI pipeline locally, offline — the same steps as
-# .github/workflows/ci.yml plus the nightly fault-matrix and telemetry
-# overhead jobs from nightly.yml. If this passes, CI passes (modulo
-# toolchain drift; CI also checks the pinned MSRV toolchain).
+# Reproduces the CI pipeline locally, offline: every tier-1 stage of
+# scripts/verify.sh, then the CI gates verify.sh does not run (the
+# determinism matrix, audit SARIF, the bench regression and multi-core
+# gates), plus the nightly jobs from nightly.yml. If this passes, CI
+# passes (modulo toolchain drift; CI also checks the pinned MSRV
+# toolchain).
 #
 # Usage: scripts/ci-local.sh [--quick] [--sanitizers]
 #   --quick       skip the nightly-tier jobs (fault matrices and
@@ -28,46 +30,17 @@ for arg in "$@"; do
   esac
 done
 
-echo "== cargo fmt --check =="
-cargo fmt --check
-
-echo "== cargo clippy (workspace, all targets, -D warnings) =="
-cargo clippy --workspace --all-targets --offline -- -D warnings
-
-echo "== cargo build --release =="
-cargo build --release --offline
-
-echo "== cargo test -q =="
-cargo test -q --offline
-
-echo "== cargo test -q --workspace =="
-cargo test -q --workspace --offline
-
-echo "== benchmark package tests (own workspace under benchmark/) =="
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
-
-echo "== one-run acquisition oracle, full registry (release) =="
-cargo test --release --offline --test differential_acquisition -- --include-ignored
+scripts/verify.sh
 
 echo "== determinism matrix under varied harness threads =="
 cargo test -q --offline --test integration_parallel -- --test-threads 1
 cargo test -q --offline --test integration_parallel -- --test-threads 8
 cargo test -q --offline -p np-parallel -- --test-threads 1
 
-echo "== np audit (concurrency & determinism audit) =="
-audit_inv="$(mktemp -t np-unsafe-inventory.XXXXXX.md)"
+echo "== np audit --sarif (CI annotation artifact) =="
 audit_sarif="$(mktemp -t np-audit.XXXXXX.sarif)"
-cargo run --release --offline --quiet -- audit \
-  --sarif "$audit_sarif" --inventory "$audit_inv"
-diff -u UNSAFE_INVENTORY.md "$audit_inv"
+cargo run --release --offline --quiet -- audit --sarif "$audit_sarif"
 echo "audit SARIF written to $audit_sarif"
-
-echo "== np analyze (static envelopes vs engine, all workloads) =="
-cargo run --release --offline --quiet -- analyze --machine two-socket --size 96
-
-echo "== np patterns --verify (labeled-registry calibration proof) =="
-patterns_doc="$(mktemp -t np-patterns.XXXXXX.json)"
-cargo run --release --offline --quiet -- patterns --verify --out "$patterns_doc"
 
 echo "== bench regression gate (np bench diff vs baselines/ci.json) =="
 bench_current="$(mktemp -t np-bench-current.XXXXXX.json)"
@@ -135,11 +108,14 @@ if [[ "$quick" -eq 0 ]]; then
 
   echo "== nightly: full-registry pattern sweep artifact (np patterns) =="
   patterns_nightly="$(mktemp -t np-patterns-nightly.XXXXXX.json)"
+  patterns_serial="$(mktemp -t np-patterns-serial.XXXXXX.json)"
   cargo run --release --offline --quiet -- patterns --verify --threads 8 \
     --out "$patterns_nightly"
-  # The document is deterministic at any pool width: the wide nightly
-  # run must be byte-identical to the tier-1 run above.
-  diff -u "$patterns_doc" "$patterns_nightly"
+  cargo run --release --offline --quiet -- patterns --verify --threads 1 \
+    --out "$patterns_serial"
+  # The document is deterministic at any pool width: the wide run must
+  # be byte-identical to the serial one.
+  diff -u "$patterns_serial" "$patterns_nightly"
   echo "pattern sweep document written to $patterns_nightly"
 
   echo "== nightly: benchmark trend (np bench trend --append) =="

@@ -159,7 +159,7 @@ pub struct Cli {
     /// `bench`: positional words after the command (`diff <baseline>`,
     /// `trend <history>`, ...). Only `bench` accepts positionals.
     pub positional: Vec<String>,
-    /// `bench`: matrix config file (TOML subset or JSON).
+    /// `bench`: matrix config file (TOML subset).
     pub config: Option<String>,
     /// `bench diff`: baseline report (also the first positional).
     pub baseline: Option<String>,

@@ -365,7 +365,7 @@ fn bench_cmd(cli: &Cli) -> Result<String, String> {
     }
 }
 
-/// Loads `--config` (TOML subset or JSON), or the built-in smoke matrix.
+/// Loads `--config` (TOML subset), or the built-in smoke matrix.
 fn bench_load_config(cli: &Cli) -> Result<np_bench::harness::MatrixConfig, String> {
     let cfg = match &cli.config {
         Some(path) => {

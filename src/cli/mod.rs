@@ -145,7 +145,7 @@ OPTIONS:
                        (bit-equality vs sequential) held
     --out FILE         loadgen / bench: artifact path
                        (defaults BENCH_serve.json / BENCH_matrix.json)
-    --config FILE      bench: matrix config, TOML subset or JSON
+    --config FILE      bench: matrix config, TOML subset
     --baseline FILE    bench diff: baseline report (or first positional)
     --current FILE     bench diff/trend/speedup: pre-recorded report
                        (default: run the configured matrix)
@@ -577,7 +577,7 @@ and `loadgen` both emit it, and the diff/trend tooling reads them all.
     numa-perf-tools bench trend HISTORY.jsonl | --append HISTORY.jsonl
     numa-perf-tools bench speedup [REPORT.json] [--current FILE]
 
-CONFIG (TOML subset or JSON):
+CONFIG (TOML subset):
     machine = \"two-socket\"        # dl580 | two-socket | ring | file.json
     warmup  = 1                   # unrecorded runs per cell
     repeats = 3                   # recorded samples per cell
@@ -587,11 +587,14 @@ CONFIG (TOML subset or JSON):
     [[cell]]
     workload = \"campaign\"         # campaign | memhist-ladder |
     size     = 48                 # phasen-scan | correlate-sweep |
-    reps     = 6                  # analysis-sweep | loadgen
+    reps     = 6                  # analysis-sweep | loadgen |
+                                  # sim-throughput
 
     Any numeric key becomes a cell param; a per-cell `threads = [...]`
-    overrides the global axis. Without --config, the built-in smoke
-    matrix runs every driver at small sizes (the CI gate shape).
+    overrides the global axis. A cell's id is workload/tN[/sSIZE], and
+    a config whose cells share an id is rejected. Without --config, the
+    built-in smoke matrix runs every driver at small sizes (the CI gate
+    shape).
 
 DETERMINISM CONTRACT:
     Everything except the wall-time samples is a pure function of

@@ -26,6 +26,20 @@ fn structure_is_deterministic_across_harness_threads() {
         reference.cells.len() >= 6,
         "smoke matrix covers all drivers"
     );
+    // The simulator load-path cell counts its work exactly: two
+    // programs of `size` loads each.
+    let sim_digest = |report: &BenchReport| {
+        let cell = report
+            .cells
+            .iter()
+            .find(|c| c.workload == "sim-throughput")
+            .expect("smoke matrix has a sim-throughput cell");
+        assert_eq!(cell.id, format!("sim-throughput/t1/s{}", cell.size));
+        assert!(cell.audit_ok, "{} must audit clean", cell.id);
+        assert_eq!(cell.metrics["det_accesses"], (2 * cell.size) as f64);
+        cell.digest.clone()
+    };
+    let sim_reference = sim_digest(&reference);
     for threads in [2, 8] {
         let got = smoke_report(threads);
         assert_eq!(
@@ -33,6 +47,7 @@ fn structure_is_deterministic_across_harness_threads() {
             reference.structure_digest(),
             "structure diverged at {threads} harness threads"
         );
+        assert_eq!(sim_digest(&got), sim_reference);
         // Cell order is matrix order, not completion order.
         let ids: Vec<&str> = got.cells.iter().map(|c| c.id.as_str()).collect();
         let ref_ids: Vec<&str> = reference.cells.iter().map(|c| c.id.as_str()).collect();

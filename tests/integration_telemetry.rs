@@ -113,11 +113,11 @@ fn cli_produces_snapshot_and_valid_chrome_trace() {
     assert!(events.len() >= 2, "trace has no span events");
 
     let field = |e: &Value, k: &str| -> Option<Value> { e.get(k).cloned() };
-    let as_u64 = |v: &Value| -> u64 {
+    // `ts`/`dur` are µs with three decimals; read them back as whole ns.
+    let as_ns = |v: &Value| -> u64 {
         match v {
-            Value::UInt(u) => *u,
-            Value::Int(i) => u64::try_from(*i).unwrap(),
-            other => panic!("not an integer: {other:?}"),
+            Value::Float(us) if *us >= 0.0 => (us * 1_000.0).round() as u64,
+            other => panic!("not a non-negative fractional µs value: {other:?}"),
         }
     };
 
@@ -128,8 +128,8 @@ fn cli_produces_snapshot_and_valid_chrome_trace() {
     let mut cats = std::collections::BTreeSet::new();
     for e in &events[1..] {
         assert_eq!(field(e, "ph"), Some(Value::Str("X".into())), "{e:?}");
-        let ts = as_u64(&field(e, "ts").unwrap());
-        let dur = as_u64(&field(e, "dur").unwrap());
+        let ts = as_ns(&field(e, "ts").unwrap());
+        let dur = as_ns(&field(e, "dur").unwrap());
         assert!(ts >= last_ts, "events not sorted by ts");
         assert!(ts.checked_add(dur).is_some());
         last_ts = ts;
@@ -146,8 +146,8 @@ fn cli_produces_snapshot_and_valid_chrome_trace() {
             .filter(|e| field(e, "name") == Some(Value::Str(name.into())))
             .map(|e| {
                 (
-                    as_u64(&field(e, "ts").unwrap()),
-                    as_u64(&field(e, "dur").unwrap()),
+                    as_ns(&field(e, "ts").unwrap()),
+                    as_ns(&field(e, "dur").unwrap()),
                 )
             })
             .collect()
