@@ -1,24 +1,24 @@
-//! Guard: switching the time-series sampler on must not meaningfully
-//! slow the simulator.
+//! Guard: recording per-node time series must not meaningfully slow
+//! the simulator.
 //!
-//! The engine's live hook ([`sample_live_timeslice`]) runs once per
-//! *timeslice*, never per op, and the whole thing is one relaxed load
-//! when sampling is off. This test is the tripwire for someone moving
-//! sampling into the per-op hot loop: it compares wall time for
-//! identical runs with the sampler off and on. The threshold is
-//! deliberately loose (2.5×, min-of-3) so a loaded CI host never trips
-//! it — a real per-op regression is orders of magnitude bigger than
-//! scheduler noise on a 100k-op program, while the budgeted per-slice
-//! cost is well under the 3% the design doc promises.
+//! The capture observer ([`NodeSeriesObserver`], the one producer of
+//! per-node series behind `np run --sample` and `np top`) runs once per
+//! *timeslice*, never per op. This test is the tripwire for someone
+//! moving series recording into the per-op hot loop: it compares wall
+//! time for identical runs through `run` and through `run_observed`
+//! under the observer. The threshold is deliberately loose (2.5×,
+//! min-of-3) so a loaded CI host never trips it — a real per-op
+//! regression is orders of magnitude bigger than scheduler noise on a
+//! 100k-op program, while the per-slice cost is a few percent.
 
 use np_bench::dl580_sim;
+use np_core::capture::NodeSeriesObserver;
 use np_simulator::{AllocPolicy, ProgramBuilder};
-use np_telemetry::timeseries;
 use std::hint::black_box;
 use std::time::Instant;
 
 #[test]
-fn enabled_sampler_does_not_gut_sim_throughput() {
+fn series_observer_does_not_gut_sim_throughput() {
     let sim = dl580_sim();
     let topo = sim.config().topology.clone();
     let ops = 100_000u64;
@@ -32,34 +32,38 @@ fn enabled_sampler_does_not_gut_sim_throughput() {
 
     // Min-of-N: the minimum is the least noisy wall-time estimator on a
     // shared host.
-    let time = |runs: usize| {
+    let mut observer = NodeSeriesObserver::new(topo, 512);
+    let mut time = |observed: bool, runs: u64| {
         (0..runs)
             .map(|seed| {
                 let start = Instant::now();
-                black_box(sim.run(&program, seed as u64).expect("valid program"));
+                let run = if observed {
+                    sim.run_observed(&program, seed, &mut observer)
+                } else {
+                    sim.run(&program, seed)
+                };
+                black_box(run.expect("valid program"));
                 start.elapsed()
             })
             .min()
             .expect("at least one run")
     };
 
-    // Warm up caches/allocator, then measure both configurations.
-    timeseries::set_sampling(false);
-    let _ = time(1);
-    let disabled = time(3);
-    timeseries::reset_global_sampler(timeseries::GLOBAL_CAPACITY);
-    timeseries::set_sampling(true);
-    let enabled = time(3);
-    timeseries::set_sampling(false);
-
-    // The run must actually have fed the sampler, or this guard measures
-    // nothing.
-    assert!(
-        !timeseries::global_sampler_snapshot().is_empty(),
-        "sampling was on but the live hook recorded nothing"
+    // Warm up caches/allocator, then measure both paths.
+    let _ = time(false, 1);
+    let plain = time(false, 3);
+    let observed = time(true, 3);
+    println!(
+        "plain={plain:?} observed={observed:?} ratio={:.2}",
+        observed.as_secs_f64() / plain.as_secs_f64()
     );
+
+    // The runs must actually have fed the observer, or this guard
+    // measures nothing.
+    let bins: usize = observer.sampler().iter().map(|(_, s)| s.bins.len()).sum();
+    assert!(bins > 0, "the observed runs recorded no bins");
     assert!(
-        enabled < disabled * 5 / 2,
-        "sampler-enabled sim run is >2.5x slower: disabled={disabled:?} enabled={enabled:?}"
+        observed < plain * 5 / 2,
+        "observed sim run is >2.5x slower: plain={plain:?} observed={observed:?}"
     );
 }

@@ -1,16 +1,17 @@
 //! Deterministic time-series capture of a measurement campaign.
 //!
-//! The live sampling path (`np top`) feeds the **global** sampler from
-//! whatever thread happens to run a timeslice — good enough for a
-//! redraw loop, useless for reproducible artifacts. This module is the
-//! deterministic twin: every campaign repetition gets its **own**
-//! [`Sampler`] fed by a [`NodeSeriesObserver`] hooked into the simulator's
-//! timeslice callback (timestamps are simulated cycles, never wall
-//! time), and the per-repetition samplers merge in submission order
-//! after the pool joins. The merged capture is a pure function of
+//! [`NodeSeriesObserver`] is the one producer of per-node time series.
+//! Hooked into the simulator's timeslice callback, it turns cumulative
+//! counters into per-`(node, event)` delta series in its own
+//! [`Sampler`], timestamped in simulated cycles (never wall time).
+//! `np run --sample` gives every campaign repetition its own observer
+//! and merges the samplers in submission order after the pool joins,
+//! so the merged capture is a pure function of
 //! `(machine, program, events, seed, repetitions, capacity)` — byte-
 //! identical across runs and across pool thread counts, which is
-//! exactly what the integration tests assert.
+//! exactly what the integration tests assert. `np top` keeps one
+//! observer alive across the runs of its simulating thread and redraws
+//! from copies of its sampler.
 //!
 //! Two serialized documents come out of a sampled campaign:
 //!
@@ -21,11 +22,16 @@
 //!   campaign. Wall-clock timestamps, so it is deliberately **not**
 //!   part of the deterministic capture; it answers the worker-pool
 //!   question ("where does the 2-thread wall time go?") instead.
+//!
+//! Each has one loader ([`Capture::load`], [`Timeline::load`]) that
+//! validates what readers index or size tables by, so a hostile file
+//! gets an error message instead of a panic or a huge allocation.
 
 use np_parallel::ChunkProfile;
 use np_simulator::{Counters, SimObserver, Topology, LIVE_NODE_EVENTS};
 use np_telemetry::timeseries::Sampler;
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 
 /// Schema tag written into every capture document.
 pub const CAPTURE_SCHEMA: &str = "np-capture/1";
@@ -33,28 +39,33 @@ pub const CAPTURE_SCHEMA: &str = "np-capture/1";
 /// Schema tag written into every timeline document.
 pub const TIMELINE_SCHEMA: &str = "np-timeline/1";
 
+/// The widest pool a timeline may describe (the report draws a row per worker).
+const MAX_TIMELINE_WORKERS: u64 = 4096;
+
 /// A [`SimObserver`] that turns the engine's per-timeslice counter
-/// snapshots into per-node delta series: one series per
-/// `(node, NUMA indicator event)` pair from [`LIVE_NODE_EVENTS`],
-/// timestamped in simulated cycles and attributed to the phase active
-/// on the running thread.
+/// snapshots into per-node delta series: one `node<N>.<event>` series
+/// per node and [`LIVE_NODE_EVENTS`] family, timestamped in simulated
+/// cycles and attributed to the phase active on the running thread.
+/// Deltas come from [`Sampler::record_cumulative`], so an observer
+/// reused across runs records 0 for the first slice of each later run.
 pub struct NodeSeriesObserver {
     topology: Topology,
     sampler: Sampler,
-    /// Previous cumulative total per `(node, event)` slot, row-major.
-    last: Vec<u64>,
 }
 
 impl NodeSeriesObserver {
     /// An observer for `topology` recording into a fresh sampler with
     /// `capacity` bins per series.
     pub fn new(topology: Topology, capacity: usize) -> Self {
-        let slots = topology.nodes * LIVE_NODE_EVENTS.len();
         NodeSeriesObserver {
             topology,
             sampler: Sampler::new(capacity),
-            last: vec![0; slots],
         }
+    }
+
+    /// The series recorded so far.
+    pub fn sampler(&self) -> &Sampler {
+        &self.sampler
     }
 
     /// Consumes the observer, yielding the recorded series.
@@ -66,18 +77,53 @@ impl NodeSeriesObserver {
 impl SimObserver for NodeSeriesObserver {
     fn on_timeslice(&mut self, now: u64, counters: &Counters, _footprint_bytes: u64) {
         for node in 0..self.topology.nodes {
-            for (ei, &(short, event)) in LIVE_NODE_EVENTS.iter().enumerate() {
+            for &(short, event) in LIVE_NODE_EVENTS {
                 let total: u64 = (0..self.topology.cores_per_node)
                     .map(|i| counters.get(self.topology.first_core_of_node(node) + i, event))
                     .sum();
-                let slot = node * LIVE_NODE_EVENTS.len() + ei;
-                let delta = total.saturating_sub(self.last[slot]);
-                self.last[slot] = total;
                 self.sampler
-                    .record(&format!("node{node}.{short}"), now, delta);
+                    .record_cumulative(&format!("node{node}.{short}"), now, total);
             }
         }
     }
+}
+
+/// Splits a series name into `(node, event)`: `rep0.node2.local_dram`
+/// (a campaign capture) and `node2.local_dram` (one observer) both give
+/// `(2, "local_dram")`; any other shape gives `None`.
+pub fn split_series_name(name: &str) -> Option<(usize, &str)> {
+    let mut parts = name.split('.');
+    let mut node = parts.next()?;
+    if node.starts_with("rep") {
+        node = parts.next()?;
+    }
+    let short = parts.next()?;
+    if parts.next().is_some() {
+        return None;
+    }
+    let id: usize = node.strip_prefix("node")?.parse().ok()?;
+    Some((id, short))
+}
+
+/// The loader of both documents: read `path`, parse it, then
+/// `validate` it (schema tag first). Errors name the file.
+fn load_doc<T: Deserialize>(
+    path: &Path,
+    kind: &str,
+    validate: fn(&T) -> Result<(), String>,
+) -> Result<T, String> {
+    let shown = path.display();
+    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{shown}': {e}"))?;
+    let doc = serde_json::from_str(&json).map_err(|e| format!("invalid {kind} '{shown}': {e}"))?;
+    validate(&doc).map_err(|e| format!("invalid {kind} '{shown}': {e}"))?;
+    Ok(doc)
+}
+
+/// Refuses a document written under another schema version.
+fn check_schema(found: &str, expected: &str) -> Result<(), String> {
+    (found == expected)
+        .then_some(())
+        .ok_or_else(|| format!("schema '{found}' (this build reads '{expected}')"))
 }
 
 /// One series of a [`Capture`]: parallel vectors, time delta-encoded
@@ -184,19 +230,54 @@ impl Capture {
         }
     }
 
-    /// The distinct node ids appearing in `rep*.node<N>.*` series names.
+    /// The distinct node ids appearing in the series names.
     pub fn node_ids(&self) -> Vec<usize> {
         let mut nodes: Vec<usize> = self
             .series
             .iter()
-            .filter_map(|s| {
-                let tail = s.name.split("node").nth(1)?;
-                tail.split('.').next()?.parse().ok()
-            })
+            .filter_map(|s| split_series_name(&s.name).map(|(node, _)| node))
             .collect();
         nodes.sort_unstable();
         nodes.dedup();
         nodes
+    }
+
+    /// Reads and checks the capture file at `path`: the one loader
+    /// behind `np report` and `np patterns --capture`.
+    pub fn load(path: impl AsRef<Path>) -> Result<Capture, String> {
+        load_doc(path.as_ref(), "capture", Capture::validate)
+    }
+
+    /// Checks the schema tag, that each series' per-bin vectors have one
+    /// entry per bin and phase indices inside the phase table, and that
+    /// node ids stay below the series count (as a real capture's do, one
+    /// series per node at least), so per-node tables fit the file.
+    fn validate(&self) -> Result<(), String> {
+        check_schema(&self.schema, CAPTURE_SCHEMA)?;
+        for s in &self.series {
+            let lens = [&s.phase, &s.count, &s.sum, &s.min, &s.max].map(|v| v.len());
+            if lens.iter().any(|&n| n != s.dt.len()) {
+                return Err(format!(
+                    "series '{}' has {} bins but (phase, count, sum, min, max) lengths {lens:?}",
+                    s.name,
+                    s.dt.len()
+                ));
+            }
+            if let Some(p) = s.phase.iter().find(|&&p| p >= self.phases.len() as u64) {
+                return Err(format!(
+                    "series '{}' names phase {p}, but there are {} phases",
+                    s.name,
+                    self.phases.len()
+                ));
+            }
+        }
+        match self.node_ids().last() {
+            Some(node) if *node >= self.series.len() => Err(format!(
+                "node id {node} is not below the series count {}",
+                self.series.len()
+            )),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -236,13 +317,46 @@ impl Timeline {
         }
     }
 
+    /// Reads and checks the timeline file at `path`.
+    pub fn load(path: impl AsRef<Path>) -> Result<Timeline, String> {
+        load_doc(path.as_ref(), "timeline", Timeline::validate)
+    }
+
+    /// Checks the schema tag and everything readers index or size by:
+    /// the per-chunk vectors have one entry per chunk, the worker count
+    /// is at most `MAX_TIMELINE_WORKERS` and every worker id is below
+    /// it.
+    fn validate(&self) -> Result<(), String> {
+        check_schema(&self.schema, TIMELINE_SCHEMA)?;
+        let lens = [&self.worker, &self.wait_ns, &self.start_ns, &self.end_ns].map(|v| v.len());
+        if lens.iter().any(|&n| n != self.chunk.len()) {
+            return Err(format!(
+                "{} chunks but (worker, wait_ns, start_ns, end_ns) lengths {lens:?}",
+                self.chunk.len()
+            ));
+        }
+        if self.workers > MAX_TIMELINE_WORKERS {
+            return Err(format!(
+                "{} workers exceed the {MAX_TIMELINE_WORKERS} supported",
+                self.workers
+            ));
+        }
+        match self.worker.iter().find(|&&w| w >= self.workers) {
+            Some(w) => Err(format!(
+                "worker id {w} is not below the {} workers",
+                self.workers
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Total busy (executing) time per worker, ns.
     pub fn busy_per_worker(&self) -> Vec<u64> {
         let mut busy = vec![0u64; self.workers.max(1) as usize];
         for i in 0..self.chunk.len() {
             let w = self.worker[i] as usize;
             if let Some(slot) = busy.get_mut(w) {
-                *slot += self.end_ns[i].saturating_sub(self.start_ns[i]);
+                *slot = slot.saturating_add(self.end_ns[i].saturating_sub(self.start_ns[i]));
             }
         }
         busy
@@ -295,10 +409,15 @@ mod tests {
         let mut sampler = Sampler::new(16);
         sampler.record_with_phase("rep0.node1.qpi", 10, 5, "measure");
         sampler.record_with_phase("rep0.node0.qpi", 20, 6, "measure");
+        sampler.record_with_phase("rep0.node1.qpi", 35, 7, "measure");
         let cap = Capture::from_sampler("two-socket", "row-major", 42, 1, &sampler);
         assert_eq!(cap.schema, CAPTURE_SCHEMA);
         assert_eq!(cap.series[0].name, "rep0.node0.qpi");
         assert_eq!(cap.node_ids(), vec![0, 1]);
+        // Time is delta-encoded from t0.
+        assert_eq!(cap.series[1].t0, 10);
+        assert_eq!(cap.series[1].dt, vec![0, 25]);
+        assert_eq!(cap.series[1].timestamps(), vec![10, 35]);
         let json = serde_json::to_string(&cap).unwrap();
         let back: Capture = serde_json::from_str(&json).unwrap();
         assert_eq!(cap, back);

@@ -19,12 +19,14 @@
 //!   touching the simulator, and consults a [`FaultInjector`] at the
 //!   `"probe.accept"` / `"probe.response"` sites so the fault matrix can
 //!   script drops, truncations, delays and garbage;
-//! * the **client** retries per [`RetryPolicy`] with reconnect-and-
-//!   backoff, bounds each attempt with stream deadlines, optionally
-//!   shards the threshold ladder into per-request chunks, and degrades
-//!   partially: a fetch that loses k of n chunks returns a coarser
-//!   histogram flagged [`MemhistResult::degraded`] with the missing
-//!   intervals enumerated, instead of failing the whole campaign.
+//! * the **client** ([`RemoteMemhist::fetch_resilient`], its one fetch
+//!   path) retries per [`RetryPolicy`] with reconnect-and-backoff,
+//!   bounds each attempt with stream deadlines, rejects any reply whose
+//!   ladder differs from the request's, optionally shards the threshold
+//!   ladder into per-request chunks, and degrades partially: a fetch
+//!   that loses k of n chunks returns a coarser histogram flagged
+//!   [`MemhistResult::degraded`] with the missing intervals enumerated,
+//!   instead of failing the whole campaign.
 //!   Exceedance counts compose across requests because the simulated run
 //!   is deterministic per seed, so surviving thresholds still subtract
 //!   into valid bins.
@@ -293,34 +295,10 @@ impl std::error::Error for ProbeError {}
 pub struct RemoteMemhist;
 
 impl RemoteMemhist {
-    /// Fetches one measurement from the probe at `addr` — the legacy
-    /// single-shot path: one request, no retries, unbounded waits.
-    pub fn fetch(
-        addr: impl ToSocketAddrs,
-        config: &MemhistConfig,
-        seed: u64,
-    ) -> std::io::Result<MemhistResult> {
-        let _span = np_telemetry::span!("probe.fetch", "probe");
-        let addr = resolve(addr)?;
-        let req = ProbeRequest {
-            seed,
-            thresholds: config.thresholds.clone(),
-            slices_per_step: config.slices_per_step,
-        };
-        let resp = roundtrip(&addr, &req, StreamDeadlines::unbounded(), 1024 * 1024)?;
-        let histogram = LatencyHistogram::from_threshold_counts(&resp.thresholds, &resp.counts)
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad threshold response")
-            })?;
-        Ok(MemhistResult::complete(
-            histogram,
-            resp.coverage,
-            resp.total_slices,
-        ))
-    }
-
-    /// Fetches with retry, deadlines, optional chunking and an optional
-    /// circuit breaker — the production path.
+    /// Fetches one measurement from the probe at `addr` with retry,
+    /// deadlines, optional chunking and an optional circuit breaker.
+    /// Every reply must echo the requested ladder, or the attempt fails
+    /// and is retried.
     ///
     /// Chunks that exhaust the retry policy are *dropped from the ladder*
     /// rather than failing the fetch: the result is assembled from the
@@ -520,6 +498,11 @@ mod tests {
         }
     }
 
+    /// One unchunked fetch of the default ladder under [`fast_policy`].
+    fn fetch(addr: SocketAddr, seed: u64) -> Result<MemhistResult, ProbeError> {
+        RemoteMemhist::fetch_resilient(addr, &MemhistConfig::default(), seed, &fast_policy(), None)
+    }
+
     #[test]
     fn remote_measurement_matches_local() {
         let sim = quiet_sim();
@@ -535,7 +518,7 @@ mod tests {
         let server = ProbeServer::new(quiet_sim(), program);
         let handle = std::thread::spawn(move || server.serve(&listener, 1));
 
-        let remote = RemoteMemhist::fetch(addr, &config, 5).unwrap();
+        let remote = fetch(addr, 5).unwrap();
         handle.join().unwrap().unwrap();
 
         // Same deterministic run ⇒ identical bins.
@@ -559,8 +542,8 @@ mod tests {
         let server = ProbeServer::new(quiet_sim(), program);
         let handle = std::thread::spawn(move || server.serve(&listener, 2));
 
-        let a = RemoteMemhist::fetch(addr, &config, 1).unwrap();
-        let b = RemoteMemhist::fetch(addr, &config, 2).unwrap();
+        let a = fetch(addr, 1).unwrap();
+        let b = fetch(addr, 2).unwrap();
         handle.join().unwrap().unwrap();
         // Different seeds may differ, but both are well-formed.
         assert_eq!(a.histogram.bins.len(), config.thresholds.len());
@@ -574,7 +557,7 @@ mod tests {
             let l = ProbeServer::bind().unwrap();
             l.local_addr().unwrap()
         };
-        let err = RemoteMemhist::fetch(addr, &MemhistConfig::default(), 1);
+        let err = fetch(addr, 1);
         assert!(err.is_err());
     }
 
@@ -602,7 +585,7 @@ mod tests {
         drop(stream);
 
         // ...but the accept loop survives and serves the next client.
-        let good = RemoteMemhist::fetch(addr, &MemhistConfig::default(), 3).unwrap();
+        let good = fetch(addr, 3).unwrap();
         assert!(!good.histogram.bins.is_empty());
         assert!(handle.join().unwrap().is_ok());
         assert!(
@@ -637,7 +620,7 @@ mod tests {
         drop(stream);
 
         // The accept loop survives and serves a well-formed client.
-        let good = RemoteMemhist::fetch(addr, &MemhistConfig::default(), 3).unwrap();
+        let good = fetch(addr, 3).unwrap();
         assert!(!good.histogram.bins.is_empty());
         assert!(handle.join().unwrap().is_ok());
     }
@@ -666,29 +649,9 @@ mod tests {
             assert!(buf.is_empty(), "invalid ladder must get no response");
         }
 
-        let good = RemoteMemhist::fetch(addr, &MemhistConfig::default(), 3).unwrap();
+        let good = fetch(addr, 3).unwrap();
         assert!(!good.histogram.bins.is_empty());
         assert!(handle.join().unwrap().is_ok());
-    }
-
-    #[test]
-    fn resilient_fetch_equals_legacy_on_a_clean_link() {
-        let sim = quiet_sim();
-        let program = LatencyChecker::new(0, 0, 2 << 20, 600).build(sim.config());
-        let config = MemhistConfig::default();
-        let listener = ProbeServer::bind().unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = ProbeServer::new(quiet_sim(), program);
-        let handle = std::thread::spawn(move || server.serve(&listener, 2));
-
-        let legacy = RemoteMemhist::fetch(addr, &config, 4).unwrap();
-        let resilient =
-            RemoteMemhist::fetch_resilient(addr, &config, 4, &fast_policy(), None).unwrap();
-        handle.join().unwrap().unwrap();
-        assert!(!resilient.degraded);
-        for (r, l) in resilient.histogram.bins.iter().zip(&legacy.histogram.bins) {
-            assert_eq!(r.count, l.count);
-        }
     }
 
     #[test]
@@ -702,7 +665,7 @@ mod tests {
         let n_chunks = config.thresholds.len().div_ceil(4);
         let handle = std::thread::spawn(move || server.serve(&listener, n_chunks + 1));
 
-        let whole = RemoteMemhist::fetch(addr, &config, 4).unwrap();
+        let whole = fetch(addr, 4).unwrap();
         let chunked = RemoteMemhist::fetch_resilient(
             addr,
             &config,

@@ -123,17 +123,6 @@ impl Session {
         })
     }
 
-    /// Loads the capture recorded under `name`.
-    pub fn load_capture(&self, name: &str) -> std::io::Result<Capture> {
-        Self::check_name(name)?;
-        let _span = np_telemetry::span!("session.load_capture", "session");
-        let json = std::fs::read_to_string(self.dir.join(format!("{name}.capture.json")))?;
-        np_telemetry::counter!("session.loaded_bytes").add(json.len() as u64);
-        np_telemetry::counter!("session.loads").inc();
-        serde_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// Lists recorded captures, sorted.
     pub fn list_captures(&self) -> std::io::Result<Vec<String>> {
         let mut names = Vec::new();
@@ -264,7 +253,7 @@ mod tests {
         // Separate namespaces: captures don't show as run-set archives.
         assert_eq!(s.list().unwrap(), vec!["runs"]);
         assert_eq!(s.list_captures().unwrap(), vec!["trace"]);
-        let back = s.load_capture("trace").unwrap();
+        let back = Capture::load(dir.join("trace.capture.json")).unwrap();
         assert_eq!(back, cap);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -65,15 +65,6 @@ pub fn measure_batched(
         }
         m.cycles = result.cycles;
         set.runs.push(m);
-        // Campaign progress for the live sampler (`np top`): one point
-        // per finished repetition, timestamped in monotonic ns (this is
-        // a host-side path, not a sim path) and phase-attributed like
-        // every other sample. Gated: one relaxed load when sampling is
-        // off.
-        if np_telemetry::timeseries::sampling_enabled() {
-            np_telemetry::timeseries::sample("acq.reps", np_telemetry::now_ns(), 1);
-            np_telemetry::timeseries::sample("acq.cycles", np_telemetry::now_ns(), result.cycles);
-        }
     }
     Ok(set)
 }

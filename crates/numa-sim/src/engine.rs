@@ -191,12 +191,12 @@ pub struct MachineSim {
     scratch: std::sync::Mutex<Vec<SimState>>,
 }
 
-/// The per-node NUMA indicator events exported as live time series at
-/// each timeslice (and by the campaign capture observer in `np-core`):
-/// memory locality, interconnect pressure, coherence, cache and TLB —
-/// the paper's indicator families, per node — plus the retirement, clock
-/// and memory-controller families the np-patterns classifier derives its
-/// per-phase metrics from.
+/// The per-node NUMA indicator events that `np-core`'s capture observer
+/// turns into time series at each timeslice (for `np run --sample` and
+/// `np top`): memory locality, interconnect pressure, coherence, cache
+/// and TLB — the paper's indicator families, per node — plus the
+/// retirement, clock and memory-controller families the np-patterns
+/// classifier derives its per-phase metrics from.
 pub const LIVE_NODE_EVENTS: &[(&str, HwEvent)] = &[
     ("local_dram", HwEvent::LocalDramAccess),
     ("remote_dram", HwEvent::RemoteDramAccess),
@@ -608,7 +608,6 @@ impl MachineSim {
                 frontier = now;
                 while frontier >= next_slice {
                     observer.on_timeslice(next_slice, &counters, footprint_bytes);
-                    self.sample_live_timeslice(next_slice, &counters);
                     footprint.push((next_slice, footprint_bytes));
                     next_slice += cfg.timeslice_cycles.max(1);
                 }
@@ -662,31 +661,6 @@ impl MachineSim {
                 np_telemetry::global()
                     .counter(&format!("sim.mem_ops.node{node}"))
                     .add(ops);
-            }
-        }
-    }
-
-    /// Feeds per-node cumulative event totals into the global time-series
-    /// sampler at each timeslice boundary, keyed by **simulated cycles**
-    /// (never wall time — this file is in the audit's `no-wall-clock` scope).
-    /// Gated on `sampling_enabled()` so the uninstrumented main loop pays
-    /// one relaxed load per slice; `np top` reads the resulting
-    /// `sim.node<N>.<event>` series live.
-    fn sample_live_timeslice(&self, now: u64, counters: &Counters) {
-        if !np_telemetry::timeseries::sampling_enabled() {
-            return;
-        }
-        let topo = &self.config.topology;
-        for node in 0..topo.nodes {
-            for &(short, event) in LIVE_NODE_EVENTS {
-                let total: u64 = (0..topo.cores_per_node)
-                    .map(|i| counters.get(topo.first_core_of_node(node) + i, event))
-                    .sum();
-                np_telemetry::timeseries::sample_cumulative(
-                    &format!("sim.node{node}.{short}"),
-                    now,
-                    total,
-                );
             }
         }
     }

@@ -9,6 +9,8 @@
 //! vector — unavailable inputs surface as zeroes and the metric layer
 //! reports them as such.
 
+pub use np_core::capture::split_series_name;
+
 use np_core::capture::Capture;
 use np_simulator::{RunResult, Topology, LIVE_NODE_EVENTS};
 
@@ -111,6 +113,8 @@ impl Indicators {
     /// Series names follow the campaign convention
     /// `rep<R>.node<N>.<event>`; a bare `node<N>.<event>` (observer
     /// output that never went through the rep merge) is accepted too.
+    /// The node table is sized by the largest node id, which
+    /// [`Capture::load`] bounds for captures read from a file.
     pub fn from_capture_phase(capture: &Capture, phase: usize) -> Indicators {
         let mut nodes: Vec<NodeVector> = Vec::new();
         let mut t_min = u64::MAX;
@@ -123,13 +127,13 @@ impl Indicators {
                 nodes.resize(node + 1, NodeVector::default());
             }
             let times = series.timestamps();
-            for (i, &p) in series.phase.iter().enumerate() {
+            for ((&p, &sum), &t) in series.phase.iter().zip(&series.sum).zip(&times) {
                 if p != phase as u64 {
                     continue;
                 }
-                nodes[node].add(short, series.sum[i]);
-                t_min = t_min.min(times[i]);
-                t_max = t_max.max(times[i]);
+                nodes[node].add(short, sum);
+                t_min = t_min.min(t);
+                t_max = t_max.max(t);
             }
         }
         Indicators {
@@ -156,21 +160,6 @@ impl Indicators {
             .map(|(i, _)| i)
             .collect()
     }
-}
-
-/// Splits `rep0.node2.local_dram` / `node2.local_dram` into `(2, "local_dram")`.
-fn split_series_name(name: &str) -> Option<(usize, &str)> {
-    let mut parts = name.split('.');
-    let mut node = parts.next()?;
-    if node.starts_with("rep") {
-        node = parts.next()?;
-    }
-    let short = parts.next()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    let id: usize = node.strip_prefix("node")?.parse().ok()?;
-    Some((id, short))
 }
 
 #[cfg(test)]

@@ -243,17 +243,14 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadSummary, ClientError> {
     let mut requests = 0u64;
 
     // Phase 1: seed two machines' measurement campaigns.
-    let phase_guard = np_telemetry::phase("seed");
     for machine in ["host-a", "host-b"] {
         let sets = machine_sets(machine, config.seed);
         requests += sets.len() as u64;
         frames += 1;
         control.put(sets)?;
     }
-    drop(phase_guard);
 
     // Phase 2: cold vs warm cross-machine predict.
-    let phase_guard = np_telemetry::phase("predict");
     let predict_req = PredictReq {
         source: IndicatorKey {
             machine: "host-a".to_string(),
@@ -299,10 +296,8 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadSummary, ClientError> {
             "cached predict returned a different cost".to_string(),
         ));
     }
-    drop(phase_guard);
 
     // Phase 3: audit the transfer against direct np-models evaluation.
-    let phase_guard = np_telemetry::phase("audit");
     let training = control.query(QueryReq::machine("host-b"))?;
     let source_sets = control.query(QueryReq {
         machine: Some("host-a".to_string()),
@@ -324,12 +319,10 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadSummary, ClientError> {
         }
         None => (false, f64::INFINITY),
     };
-    drop(phase_guard);
 
     // Phase 4: concurrent hammer — mixed batched frames. A barrier
     // aligns the client starts so the measured throughput window covers
     // N genuinely concurrent sessions, not a spawn-skewed ramp.
-    let phase_guard = np_telemetry::phase("hammer");
     let hammer_started = Instant::now();
     let start = std::sync::Arc::new(std::sync::Barrier::new(config.clients));
     let mut threads = Vec::with_capacity(config.clients);
@@ -407,22 +400,11 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadSummary, ClientError> {
     } else {
         0.0
     };
-    drop(phase_guard);
 
     // Final server-side tallies.
     let stats = control.stats()?;
     frames += 1;
     requests += 1;
-
-    // Feed the live sampler (`np top`) when sampling is switched on;
-    // plain runs skip the lock entirely.
-    if np_telemetry::sampling_enabled() {
-        let now = np_telemetry::now_ns();
-        np_telemetry::sample("loadgen.frames", now, frames);
-        np_telemetry::sample("loadgen.errors", now, errors);
-        np_telemetry::sample_cumulative("loadgen.cache_hits", now, stats.cache_hits);
-        np_telemetry::sample_cumulative("loadgen.cache_misses", now, stats.cache_misses);
-    }
 
     Ok(LoadSummary {
         meta: BenchMeta::collect("loadgen", config.clients, config.seed),

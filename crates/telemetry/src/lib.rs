@@ -44,10 +44,7 @@ pub mod trace;
 pub use histogram::{LogHistogram, BUCKETS};
 pub use registry::{global, Counter, Gauge, MetricsRegistry};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
-pub use timeseries::{
-    active_phase, current_phase, phase, sample, sample_cumulative, sampling_enabled, set_sampling,
-    Bin, PhaseGuard, Sampler, Series,
-};
+pub use timeseries::{current_phase, phase, Bin, PhaseGuard, Sampler, Series};
 pub use trace::{
     clear_trace, current_tid, export_chrome_trace, now_ns, trace_event_count, SpanTimer, TraceEvent,
 };

@@ -2,11 +2,12 @@
 //!
 //! A [`Sampler`] holds a set of named series, each a fixed-capacity buffer
 //! of [`Bin`]s. Producers push `(t, value)` points at whatever cadence
-//! their layer defines — **simulated cycles** inside the simulator (via
-//! the engine's timeslice hook), [`crate::now_ns`] everywhere else. The
-//! sampler itself never reads a clock: `t` is always supplied by the
-//! caller, which is what keeps the audit's `no-wall-clock` rule green
-//! for this file (it is inside that rule's scope on purpose).
+//! their layer defines; the per-node producer is `np-core`'s capture
+//! observer, which records at each simulator timeslice in **simulated
+//! cycles**. The sampler itself never reads a clock: `t` is always
+//! supplied by the caller, which is what keeps the audit's
+//! `no-wall-clock` rule green for this file (it is inside that rule's
+//! scope on purpose).
 //!
 //! When a series fills its capacity it **downsamples in place**: adjacent
 //! bins merge pairwise and the series' `stride` doubles, so the buffer
@@ -18,25 +19,17 @@
 //! Every bin carries the **phase** active on the recording thread when
 //! the point landed: phases are RAII regions ([`phase`]) stacked
 //! per-thread, interned per-sampler into a small string table. This is
-//! the Röhl-style phase attribution from the ISSUE: a spike in
-//! `node1.remote_dram` is only actionable when you can see it happened
-//! during `measure`, not `seed`.
+//! Röhl-style phase attribution: a spike in `node1.remote_dram` is only
+//! actionable when you can see it happened during `measure`, not `seed`.
 //!
-//! Two ways to use it:
-//!
-//! * **Local samplers** (`Sampler::new`) for deterministic captures: the
-//!   campaign runner gives every repetition its own sampler keyed by
-//!   simulated time, then merges them in submission order — byte-stable
-//!   output regardless of thread count.
-//! * **The global sampler** ([`sample`], [`sample_cumulative`]) for live
-//!   feeds (`np top`, loadgen): gated by [`sampling_enabled`] exactly
-//!   like metrics are gated by [`crate::enabled`], one relaxed load when
-//!   off.
+//! Samplers are plain values with no process-wide instance. The
+//! campaign runner gives every repetition its own sampler keyed by
+//! simulated time and merges them in submission order, so captures are
+//! byte-stable regardless of thread count; `np top` shares one sampler
+//! between its simulating thread and its redraw loop.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// One aggregated sample bucket: `stride` raw points folded together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +113,14 @@ impl Series {
         self.bins.iter().map(|b| b.max).max()
     }
 
+    /// Appends one bin, downsampling once the series reaches `capacity`.
+    fn push(&mut self, bin: Bin, capacity: usize) {
+        self.bins.push(bin);
+        if self.bins.len() >= capacity {
+            self.downsample();
+        }
+    }
+
     /// Pairwise-merges adjacent bins, halving resolution.
     fn downsample(&mut self) {
         let mut merged = Vec::with_capacity(self.bins.len().div_ceil(2));
@@ -155,11 +156,6 @@ impl Sampler {
         }
     }
 
-    /// Bin capacity per series.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The interned phase table; index 0 is always the idle phase `-`.
     pub fn phases(&self) -> &[String] {
         &self.phases
@@ -193,24 +189,16 @@ impl Sampler {
         (self.phases.len() - 1) as u16
     }
 
-    fn push(&mut self, name: &str, t: u64, v: u64, phase: u16) {
-        let series = self.series.entry(name.to_string()).or_default();
-        series.bins.push(Bin::point(t, phase, v));
-        if series.bins.len() >= self.capacity.max(2) {
-            series.downsample();
-        }
-    }
-
     /// Records a point under the recording thread's active phase.
     pub fn record(&mut self, name: &str, t: u64, v: u64) {
-        let phase = self.intern(&current_phase());
-        self.push(name, t, v, phase);
+        self.record_with_phase(name, t, v, &current_phase());
     }
 
     /// Records a point under an explicit phase label.
     pub fn record_with_phase(&mut self, name: &str, t: u64, v: u64, phase: &str) {
-        let id = self.intern(phase);
-        self.push(name, t, v, id);
+        let phase = self.intern(phase);
+        let series = self.series.entry(name.to_string()).or_default();
+        series.push(Bin::point(t, phase, v), self.capacity);
     }
 
     /// Records the **delta** of a monotonically increasing total: the
@@ -219,12 +207,10 @@ impl Sampler {
     /// e.g. after a counter reset).
     pub fn record_cumulative(&mut self, name: &str, t: u64, cum: u64) {
         let phase = self.intern(&current_phase());
-        let last = self.series.entry(name.to_string()).or_default().last_cum;
-        let delta = cum.saturating_sub(last);
-        if let Some(series) = self.series.get_mut(name) {
-            series.last_cum = cum;
-        }
-        self.push(name, t, delta, phase);
+        let series = self.series.entry(name.to_string()).or_default();
+        let delta = cum.saturating_sub(series.last_cum);
+        series.last_cum = cum;
+        series.push(Bin::point(t, phase, delta), self.capacity);
     }
 
     /// Copies every series of `other` into `self` under a name prefix,
@@ -248,67 +234,6 @@ impl Sampler {
             }
         }
     }
-
-    /// Deterministic JSON export: phases table plus per-series
-    /// delta-encoded parallel arrays (`t0` + `dt[i] = t[i] - t[i-1]`).
-    /// Same shape the `np run` capture embeds; byte-stable for equal
-    /// recorded content.
-    pub fn to_json(&self) -> String {
-        use crate::snapshot::json_escape;
-        use std::fmt::Write;
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            json_escape(&mut out, p);
-        }
-        out.push_str("],\n  \"series\": [");
-        for (i, (name, series)) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let t0 = series.bins.first().map_or(0, |b| b.t);
-            out.push_str("\n    {\"name\": ");
-            json_escape(&mut out, name);
-            let _ = write!(out, ", \"stride\": {}, \"t0\": {}", series.stride, t0);
-            let mut field = |label: &str, values: Vec<u64>| {
-                let _ = write!(out, ", \"{label}\": [");
-                for (j, v) in values.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{v}");
-                }
-                out.push(']');
-            };
-            let mut prev = t0;
-            field(
-                "dt",
-                series
-                    .bins
-                    .iter()
-                    .map(|b| {
-                        let dt = b.t.saturating_sub(prev);
-                        prev = b.t;
-                        dt
-                    })
-                    .collect(),
-            );
-            field(
-                "phase",
-                series.bins.iter().map(|b| b.phase as u64).collect(),
-            );
-            field("count", series.bins.iter().map(|b| b.count).collect());
-            field("sum", series.bins.iter().map(|b| b.sum).collect());
-            field("min", series.bins.iter().map(|b| b.min).collect());
-            field("max", series.bins.iter().map(|b| b.max).collect());
-            out.push('}');
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
 }
 
 /// Phase label reported while no [`phase`] guard is live.
@@ -318,35 +243,21 @@ thread_local! {
     static PHASE_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The process-wide "most recently entered phase", for live consumers
-/// (`np top`) that render from a different thread than the producer.
-fn active_phase_cell() -> &'static Mutex<&'static str> {
-    static CELL: OnceLock<Mutex<&'static str>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(IDLE_PHASE))
-}
-
 /// RAII phase region: see [`phase`].
 pub struct PhaseGuard {
     _priv: (),
 }
 
 /// Enters a named phase on this thread until the guard drops. Nested
-/// phases stack; samples record the innermost label. Also publishes the
-/// label as the process-wide active phase so `np top` can display it.
+/// phases stack; samples record the innermost label.
 pub fn phase(label: &'static str) -> PhaseGuard {
     PHASE_STACK.with(|stack| stack.borrow_mut().push(label));
-    *lock_recover(active_phase_cell()) = label;
     PhaseGuard { _priv: () }
 }
 
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
-        let outer = PHASE_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            stack.pop();
-            stack.last().copied()
-        });
-        *lock_recover(active_phase_cell()) = outer.unwrap_or(IDLE_PHASE);
+        PHASE_STACK.with(|stack| stack.borrow_mut().pop());
     }
 }
 
@@ -360,72 +271,6 @@ pub fn current_phase() -> String {
             .unwrap_or(IDLE_PHASE)
             .to_string()
     })
-}
-
-/// The most recently entered phase across all threads (`-` initially).
-pub fn active_phase() -> String {
-    lock_recover(active_phase_cell()).to_string()
-}
-
-static SAMPLING: AtomicBool = AtomicBool::new(false);
-
-/// Whether the global sampler records. One relaxed load when off — same
-/// cost model as [`crate::enabled`].
-#[inline(always)]
-pub fn sampling_enabled() -> bool {
-    SAMPLING.load(Relaxed)
-}
-
-/// Turns global-sampler recording on or off at runtime.
-pub fn set_sampling(on: bool) {
-    SAMPLING.store(on, Relaxed);
-}
-
-/// Default bin capacity of the global sampler.
-pub const GLOBAL_CAPACITY: usize = 512;
-
-fn global_cell() -> &'static Mutex<Sampler> {
-    static CELL: OnceLock<Mutex<Sampler>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(Sampler::new(GLOBAL_CAPACITY)))
-}
-
-/// A poisoned sampler mutex only means another thread panicked mid-push;
-/// bins stay structurally valid, so recover the data instead of
-/// cascading the panic into no-panic-scoped callers.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Runs `f` against the global sampler (locked). No gating: callers that
-/// want the cheap-when-off path go through [`sample`]/[`sample_cumulative`].
-pub fn with_global_sampler<R>(f: impl FnOnce(&mut Sampler) -> R) -> R {
-    f(&mut lock_recover(global_cell()))
-}
-
-/// Records into the global sampler when [`sampling_enabled`]; no-op (one
-/// relaxed load) otherwise.
-pub fn sample(name: &str, t: u64, v: u64) {
-    if sampling_enabled() {
-        with_global_sampler(|s| s.record(name, t, v));
-    }
-}
-
-/// Cumulative-total variant of [`sample`] (delta encoding, see
-/// [`Sampler::record_cumulative`]).
-pub fn sample_cumulative(name: &str, t: u64, cum: u64) {
-    if sampling_enabled() {
-        with_global_sampler(|s| s.record_cumulative(name, t, cum));
-    }
-}
-
-/// A point-in-time copy of the global sampler (for `np top` redraws).
-pub fn global_sampler_snapshot() -> Sampler {
-    with_global_sampler(|s| s.clone())
-}
-
-/// Resets the global sampler to an empty store with `capacity` bins.
-pub fn reset_global_sampler(capacity: usize) {
-    with_global_sampler(|s| *s = Sampler::new(capacity));
 }
 
 #[cfg(test)]
@@ -489,24 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn to_json_is_deterministic_and_delta_encoded() {
-        let build = || {
-            let mut s = Sampler::new(16);
-            s.record_with_phase("b", 100, 4, "p2");
-            s.record_with_phase("a", 5, 1, "p1");
-            s.record_with_phase("a", 25, 2, "p1");
-            s
-        };
-        let a = build().to_json();
-        let b = build().to_json();
-        assert_eq!(a, b);
-        // Series come out name-sorted; time is delta-encoded from t0.
-        assert!(a.find("\"a\"").unwrap() < a.find("\"b\"").unwrap(), "{a}");
-        assert!(a.contains("\"t0\": 5"), "{a}");
-        assert!(a.contains("\"dt\": [0,20]"), "{a}");
-    }
-
-    #[test]
     fn merge_prefixed_remaps_phases_and_is_order_stable() {
         let mut rep0 = Sampler::new(16);
         rep0.record_with_phase("n", 1, 10, "alpha");
@@ -523,21 +350,5 @@ mod tests {
         assert_eq!(merged.phases()[b1.phase as usize], "beta");
         assert_eq!(b0.sum, 10);
         assert_eq!(b1.sum, 20);
-    }
-
-    #[test]
-    fn global_sampler_is_gated() {
-        set_sampling(false);
-        reset_global_sampler(32);
-        sample("gated", 1, 1);
-        assert!(global_sampler_snapshot().is_empty());
-        set_sampling(true);
-        sample("gated", 2, 2);
-        sample_cumulative("gated.cum", 3, 9);
-        set_sampling(false);
-        let snap = global_sampler_snapshot();
-        assert_eq!(snap.get("gated").unwrap().total_sum(), 2);
-        assert_eq!(snap.get("gated.cum").unwrap().total_sum(), 9);
-        reset_global_sampler(GLOBAL_CAPACITY);
     }
 }

@@ -10,8 +10,12 @@
 //!
 //! Timestamps are monotonic, relative to the first telemetry use in the
 //! process, so a whole measurement campaign shares one timeline.
+//!
+//! The buffer keeps the newest `TRACE_CAPACITY` events; each older
+//! one it drops counts in `trace.dropped`.
 
 use crate::snapshot::json_escape;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
@@ -38,9 +42,27 @@ pub struct TraceEvent {
     pub tid: u64,
 }
 
-fn trace_buffer() -> &'static Mutex<Vec<TraceEvent>> {
-    static BUF: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
-    BUF.get_or_init(|| Mutex::new(Vec::new()))
+/// Most events the trace buffer holds (under 4 MB of events).
+const TRACE_CAPACITY: usize = 1 << 16;
+
+fn trace_buffer() -> &'static Mutex<VecDeque<TraceEvent>> {
+    static BUF: OnceLock<Mutex<VecDeque<TraceEvent>>> = OnceLock::new();
+    BUF.get_or_init(|| {
+        // Registered with the buffer so every traced snapshot lists it.
+        crate::global().counter("trace.dropped");
+        Mutex::new(VecDeque::new())
+    })
+}
+
+/// Appends `event` to a ring of `capacity` events; returns true when the
+/// oldest event was dropped to make room.
+fn push_bounded(ring: &mut VecDeque<TraceEvent>, capacity: usize, event: TraceEvent) -> bool {
+    let full = ring.len() >= capacity;
+    if full {
+        ring.pop_front();
+    }
+    ring.push_back(event);
+    full
 }
 
 /// Small dense id for the current thread (stable within the process).
@@ -92,16 +114,17 @@ impl Drop for SpanTimer {
             h.record(dur);
         }
         if crate::tracing_enabled() {
-            trace_buffer()
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(TraceEvent {
-                    name: self.name,
-                    cat: self.cat,
-                    ts_ns: start,
-                    dur_ns: dur,
-                    tid: current_tid(),
-                });
+            let event = TraceEvent {
+                name: self.name,
+                cat: self.cat,
+                ts_ns: start,
+                dur_ns: dur,
+                tid: current_tid(),
+            };
+            let mut ring = trace_buffer().lock().unwrap_or_else(|p| p.into_inner());
+            if push_bounded(&mut ring, TRACE_CAPACITY, event) {
+                crate::counter!("trace.dropped").inc();
+            }
         }
     }
 }
@@ -127,10 +150,11 @@ pub fn clear_trace() {
 /// Events are sorted by `ts` so consumers that assume ordered input (and
 /// the integration tests) see a monotone timeline.
 pub fn export_chrome_trace() -> String {
-    let mut events = trace_buffer()
+    let ring = trace_buffer()
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .clone();
+    let mut events = Vec::from(ring);
     events.sort_by_key(|e| (e.ts_ns, e.tid));
     // Starts with a process-name metadata event, the convention Perfetto
     // shows titles with; real events follow comma-separated.
@@ -181,5 +205,28 @@ mod tests {
         );
         assert!(out.contains("\"ts\": 5000.007,"), "{out}");
         assert!(out.contains("\"dur\": 1.234,"), "{out}");
+    }
+
+    #[test]
+    fn full_ring_overwrites_the_oldest_and_counts_drops() {
+        let (capacity, k) = (8, 5);
+        let mut ring = VecDeque::new();
+        let dropped = (0..capacity + k)
+            .filter(|&i| {
+                let event = TraceEvent {
+                    name: "test.ring",
+                    cat: "test",
+                    ts_ns: i as u64,
+                    dur_ns: 1,
+                    tid: 1,
+                };
+                push_bounded(&mut ring, capacity, event)
+            })
+            .count();
+        assert_eq!(ring.len(), capacity);
+        assert_eq!(dropped, k);
+        // The survivors are the newest `capacity` events, oldest first.
+        let ts: Vec<u64> = ring.iter().map(|e| e.ts_ns).collect();
+        assert_eq!(ts, (k as u64..(capacity + k) as u64).collect::<Vec<_>>());
     }
 }

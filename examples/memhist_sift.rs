@@ -6,7 +6,7 @@
 //! cargo run --release --example memhist_sift
 //! ```
 
-use np_core::memhist::probe::{ProbeServer, RemoteMemhist};
+use np_core::memhist::probe::{FetchPolicy, ProbeServer, RemoteMemhist};
 use np_workloads::mlc;
 use numa_perf_tools::prelude::*;
 
@@ -57,7 +57,8 @@ fn main() {
     let addr = listener.local_addr().unwrap();
     let server = ProbeServer::new(MachineSim::new(machine.clone()), injector);
     let handle = std::thread::spawn(move || server.serve(&listener, 1));
-    let fetched = RemoteMemhist::fetch(addr, &MemhistConfig::default(), 5).expect("fetch");
+    let (config, policy) = (MemhistConfig::default(), FetchPolicy::default());
+    let fetched = RemoteMemhist::fetch_resilient(addr, &config, 5, &policy, None).expect("fetch");
     handle.join().unwrap().expect("probe served");
     println!(
         "  probe returned {} bins over TCP; total sampled loads: {}",

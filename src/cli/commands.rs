@@ -4,7 +4,7 @@ use super::args::{Cli, Command};
 use super::{report, top, workloads};
 use np_core::annotate::{annotate, RegionNames};
 use np_core::balance::BalanceReport;
-use np_core::capture::{Capture, Timeline, CAPTURE_SCHEMA};
+use np_core::capture::{Capture, Timeline};
 use np_core::evsel::{EvSel, ParameterSweep};
 use np_core::memhist::{HistogramMode, Memhist};
 use np_core::objprof;
@@ -105,25 +105,9 @@ fn report_cmd(cli: &Cli) -> Result<String, String> {
         .capture
         .as_deref()
         .ok_or("report needs --capture FILE (from `run --sample`)")?;
-    let json =
-        std::fs::read_to_string(path).map_err(|e| format!("report: cannot read '{path}': {e}"))?;
-    let cap: Capture = serde_json::from_str(&json)
-        .map_err(|e| format!("report: invalid capture '{path}': {e}"))?;
-    if cap.schema != CAPTURE_SCHEMA {
-        return Err(format!(
-            "report: '{path}' has schema '{}' (this build reads '{CAPTURE_SCHEMA}')",
-            cap.schema
-        ));
-    }
+    let cap = Capture::load(path).map_err(|e| format!("report: {e}"))?;
     let timeline = match &cli.timeline {
-        Some(tl_path) => {
-            let json = std::fs::read_to_string(tl_path)
-                .map_err(|e| format!("report: cannot read '{tl_path}': {e}"))?;
-            Some(
-                serde_json::from_str::<Timeline>(&json)
-                    .map_err(|e| format!("report: invalid timeline '{tl_path}': {e}"))?,
-            )
-        }
+        Some(tl_path) => Some(Timeline::load(tl_path).map_err(|e| format!("report: {e}"))?),
         None => None,
     };
     if cli.html {
@@ -270,16 +254,7 @@ fn patterns_verify(cli: &Cli) -> Result<String, String> {
 /// `np patterns --capture FILE`: per-phase attribution over a capture.
 fn patterns_capture(cli: &Cli) -> Result<String, String> {
     let path = cli.capture.as_deref().unwrap_or_default();
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| format!("patterns: cannot read '{path}': {e}"))?;
-    let cap: Capture = serde_json::from_str(&json)
-        .map_err(|e| format!("patterns: invalid capture '{path}': {e}"))?;
-    if cap.schema != CAPTURE_SCHEMA {
-        return Err(format!(
-            "patterns: '{path}' has schema '{}' (this build reads '{CAPTURE_SCHEMA}')",
-            cap.schema
-        ));
-    }
+    let cap = Capture::load(path).map_err(|e| format!("patterns: {e}"))?;
     let mut phases = Vec::with_capacity(cap.phases.len());
     for (idx, phase) in cap.phases.iter().enumerate() {
         let indicators = np_patterns::Indicators::from_capture_phase(&cap, idx);

@@ -210,7 +210,9 @@ instrumentation site while off. Two global flags turn it on:
                        `== tool telemetry ==` section to the report
     --trace FILE       additionally buffer every internal span and write
                        a Chrome-trace JSON array to FILE; open it in
-                       chrome://tracing or https://ui.perfetto.dev
+                       chrome://tracing or https://ui.perfetto.dev.
+                       The buffer keeps the newest 65536 spans; older
+                       ones are overwritten and counted in trace.dropped
 
 WHAT IS RECORDED:
     sim.*       simulator throughput: runs, instructions, cycles,
@@ -638,27 +640,32 @@ pub fn top_help() -> &'static str {
 =======================
 
 `top` is NUMAscope for the simulated machine: a producer thread runs
-the selected workload in a loop with the time-series sampler switched
-on, and the foreground redraws a plain ANSI frame (no TUI dependency)
-with per-node event rates and the active phase.
+the selected workload in a loop under the capture observer of
+`run --sample`, and the foreground redraws a plain ANSI frame (no TUI
+dependency) with per-node event rates and the newest bin's phase.
+Other simulations in the process never show up.
 
     numa-perf-tools top [--workload NAME] [--machine NAME]
                         [--ticks N] [--interval MS]
 
 COLUMNS:
-    series     sim.node<N>.<event> — one row per NUMA node per event
-               (local_dram, remote_dram, qpi, hitm, l3_miss, dtlb_miss)
-    rate/s     events per second: the delta of the cumulative series
-               since the previous frame, scaled by --interval
-    total      the cumulative count since `top` started
-    bins       ring-buffer bins currently held for the series
+    series     node<N>.<event> — one row per NUMA node per event:
+               local_dram, remote_dram, qpi, hitm, l3_miss, dtlb_miss,
+               instructions, cycles, mem_stall, load, store, imc_read,
+               imc_write (the capture's series without `rep<R>.`)
+    rate/s     events per second: the growth of `total` since the
+               previous frame, scaled by --interval
+    total      the sum of the per-timeslice deltas since `top` started;
+               the first slice of every run after the first counts 0
+               (the counters restart and the delta clamps at zero)
+    bins       bins held for the series (at most 512, then merged)
 
 DETERMINISM:
-    The sampler timestamps are simulated cycles, never wall clock —
+    The series timestamps are simulated cycles, never wall clock —
     `top` itself sits in the audit's no-wall-clock scope; pacing comes
-    from thread::sleep and the tick counter only. The default workload
-    is row-major at size 4096, large enough that the engine's timeslice
-    hook fires at the default granularity.
+    from thread::sleep and the tick counter only. Frames update at
+    every timeslice, so one run of the default workload (row-major at
+    size 4096) outlasts the default 12 frames.
 
 EXAMPLES:
     numa-perf-tools top
@@ -877,7 +884,7 @@ mod tests {
     fn help_topics_cover_the_timeseries_layer() {
         assert!(super::usage().contains("help top"));
         assert!(super::usage().contains("help report"));
-        for term in ["rate/s", "no-wall-clock", "sim.node"] {
+        for term in ["rate/s", "no-wall-clock", "node<N>.<event>"] {
             assert!(super::top_help().contains(term), "missing term {term}");
         }
         for term in [

@@ -214,9 +214,15 @@ fn svg_timeline(tl: &Timeline, width: u64) -> String {
         "<svg width=\"{width}\" height=\"{height}\" viewBox=\"0 0 {width} {height}\" \
          role=\"img\" aria-label=\"worker timeline\">"
     );
+    // A loaded timeline's times may be anywhere in u64: scale in u128
+    // and clamp to the drawing.
+    let scale = |ns: u64| {
+        let x = u128::from(ns) * u128::from(width) / u128::from(span);
+        x.min(u128::from(width)) as u64
+    };
     for i in 0..tl.chunk.len() {
-        let x = tl.start_ns[i] * width / span;
-        let w = (tl.end_ns[i].saturating_sub(tl.start_ns[i]) * width / span).max(1);
+        let x = scale(tl.start_ns[i]);
+        let w = scale(tl.end_ns[i].saturating_sub(tl.start_ns[i])).max(1);
         let y = tl.worker[i] * lane + 2;
         svg.push_str(&format!(
             "<rect x=\"{x}\" y=\"{y}\" width=\"{w}\" height=\"{}\" fill=\"{}\" \

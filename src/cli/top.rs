@@ -1,11 +1,14 @@
 //! `np top`: a live, NUMAscope-style per-node telemetry view.
 //!
 //! A producer thread runs the selected workload in a loop on the
-//! simulated machine with global sampling switched on; the engine's
-//! timeslice hook feeds cumulative `sim.node<N>.<event>` series into
-//! the global sampler. The foreground loop redraws a plain ANSI frame
+//! simulated machine under one [`NodeSeriesObserver`] — the same
+//! per-node producer `np run --sample` uses — shared with the redraw
+//! loop. The foreground loop redraws a plain ANSI frame
 //! (`ESC[2J ESC[H` — no TUI dependency) every `--interval` ms for
-//! `--ticks` frames, showing per-node event rates and the active phase.
+//! `--ticks` frames from a copy of the observer's sampler, showing
+//! per-node event rates and the phase of the newest bin. Only this
+//! machine's runs reach the observer, so other simulations in the
+//! process never show up here.
 //!
 //! This file sits in the audit's `no-wall-clock` scope: pacing comes
 //! from `thread::sleep` and the tick counter, rates are deltas of the
@@ -14,33 +17,47 @@
 
 use super::args::Cli;
 use super::workloads;
-use np_simulator::MachineSim;
-use np_telemetry::timeseries::{self, Sampler};
+use np_core::capture::NodeSeriesObserver;
+use np_patterns::indicators::split_series_name;
+use np_simulator::{Counters, MachineSim, SimObserver};
+use np_telemetry::timeseries::{Sampler, IDLE_PHASE};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Bins per series the live view keeps before downsampling.
+const CAPACITY: usize = 512;
 
 /// Per-series cumulative sums of the previous frame, for rate deltas.
 type Totals = BTreeMap<String, u64>;
 
+/// The observer the producer thread records into and the redraw loop
+/// copies from.
+#[derive(Clone)]
+struct SharedObserver(Arc<Mutex<NodeSeriesObserver>>);
+
+impl SharedObserver {
+    /// A poisoned lock only means the other thread panicked mid-slice;
+    /// the sampler stays structurally valid, so keep using it.
+    fn lock(&self) -> MutexGuard<'_, NodeSeriesObserver> {
+        self.0.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+impl SimObserver for SharedObserver {
+    fn on_timeslice(&mut self, now: u64, counters: &Counters, footprint_bytes: u64) {
+        self.lock().on_timeslice(now, counters, footprint_bytes);
+    }
+}
+
 /// Per-node pattern badges from the snapshot's cumulative
-/// `sim.node<N>.<event>` totals: each node's vector goes through the
+/// `node<N>.<event>` totals: each node's vector goes through the
 /// np-patterns node-local signature subset, so a `BW` here and a
 /// bandwidth-bound verdict in `np patterns` sit on the same thresholds.
 fn badge_rows(sampler: &Sampler) -> Vec<(usize, String)> {
     let mut nodes: Vec<np_patterns::NodeVector> = Vec::new();
     for (name, series) in sampler.iter() {
-        let Some(rest) = name.strip_prefix("sim.") else {
-            continue;
-        };
-        let mut parts = rest.split('.');
-        let (Some(node), Some(short), None) = (parts.next(), parts.next(), parts.next()) else {
-            continue;
-        };
-        let Some(id) = node
-            .strip_prefix("node")
-            .and_then(|n| n.parse::<usize>().ok())
-        else {
+        let Some((id, short)) = split_series_name(name) else {
             continue;
         };
         if nodes.len() <= id {
@@ -53,6 +70,16 @@ fn badge_rows(sampler: &Sampler) -> Vec<(usize, String)> {
         .enumerate()
         .map(|(id, n)| (id, np_patterns::node_badges(n)))
         .collect()
+}
+
+/// The phase label of the newest bin in `sampler` (`-` when empty).
+fn newest_phase(sampler: &Sampler) -> &str {
+    sampler
+        .iter()
+        .filter_map(|(_, series)| series.bins.last())
+        .max_by_key(|bin| bin.t)
+        .and_then(|bin| sampler.phases().get(bin.phase as usize))
+        .map_or(IDLE_PHASE, String::as_str)
 }
 
 /// Renders one frame (without ANSI control codes — the caller prepends
@@ -68,7 +95,7 @@ pub fn render_frame(
         "np top — live NUMA telemetry   tick {}/{}   phase: {}\n\n",
         tick,
         ticks,
-        timeseries::active_phase()
+        newest_phase(sampler)
     );
     out.push_str(&format!(
         "{:<32} {:>14} {:>14} {:>6}\n",
@@ -112,8 +139,9 @@ pub fn run_top(cli: &Cli) -> Result<String, String> {
     let w = workloads::build(name, size, cli.threads, &machine)?;
     let program = w.build(&machine);
 
-    timeseries::reset_global_sampler(timeseries::GLOBAL_CAPACITY);
-    timeseries::set_sampling(true);
+    let observer = NodeSeriesObserver::new(machine.topology.clone(), CAPACITY);
+    let shared = SharedObserver(Arc::new(Mutex::new(observer)));
+    let mut observer = shared.clone();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let seed = cli.seed;
@@ -122,7 +150,7 @@ pub fn run_top(cli: &Cli) -> Result<String, String> {
         let _phase = np_telemetry::phase("simulate");
         let mut rep = 0u64;
         while !stop2.load(SeqCst) {
-            let _ = sim.run(&program, seed + rep);
+            let _ = sim.run_observed(&program, seed + rep, &mut observer);
             rep += 1;
         }
         rep
@@ -133,7 +161,7 @@ pub fn run_top(cli: &Cli) -> Result<String, String> {
     let mut last_frame = String::new();
     for tick in 1..=ticks {
         std::thread::sleep(std::time::Duration::from_millis(cli.interval_ms.max(1)));
-        let snapshot = timeseries::global_sampler_snapshot();
+        let snapshot = shared.lock().sampler().clone();
         let (frame, next) = render_frame(&snapshot, &prev, tick, ticks, cli.interval_ms);
         prev = next;
         // Clear screen + home, then the frame — classic watch(1) redraw.
@@ -144,7 +172,6 @@ pub fn run_top(cli: &Cli) -> Result<String, String> {
     let reps = producer
         .join()
         .map_err(|_| "top: producer thread panicked")?;
-    timeseries::set_sampling(false);
 
     Ok(format!(
         "np top: {} tick(s) over {} simulated run(s) of {} — final frame:\n\n{last_frame}",
@@ -159,16 +186,22 @@ mod tests {
     #[test]
     fn render_frame_shows_rates_and_phase() {
         let mut s = Sampler::new(16);
-        s.record_cumulative("sim.node0.qpi", 1_000, 40);
-        s.record_cumulative("sim.node0.qpi", 2_000, 100);
+        s.record_cumulative("node0.qpi", 1_000, 40);
+        s.record_cumulative("node0.qpi", 2_000, 100);
         let (frame, totals) = render_frame(&s, &Totals::new(), 1, 4, 100);
         assert!(frame.contains("tick 1/4"));
-        assert!(frame.contains("sim.node0.qpi"));
-        assert_eq!(totals.get("sim.node0.qpi"), Some(&100));
-        // Second frame rates against the remembered totals.
-        s.record_cumulative("sim.node0.qpi", 3_000, 130);
+        assert!(frame.contains("phase: -"), "{frame}");
+        assert!(frame.contains("node0.qpi"));
+        assert_eq!(totals.get("node0.qpi"), Some(&100));
+        // Second frame rates against the remembered totals; the header
+        // shows the phase of the newest bin.
+        {
+            let _phase = np_telemetry::phase("simulate");
+            s.record_cumulative("node0.qpi", 3_000, 130);
+        }
         let (frame, _) = render_frame(&s, &totals, 2, 4, 100);
         assert!(frame.contains("tick 2/4"));
+        assert!(frame.contains("phase: simulate"), "{frame}");
         assert!(frame.contains("30"), "{frame}");
     }
 
@@ -182,17 +215,17 @@ mod tests {
     fn badge_column_flags_a_remote_heavy_node() {
         let mut s = Sampler::new(16);
         // Node 0: almost everything it loads is remote -> RMT badge.
-        s.record_cumulative("sim.node0.instructions", 1_000, 100_000);
-        s.record_cumulative("sim.node0.cycles", 1_000, 200_000);
-        s.record_cumulative("sim.node0.mem_stall", 1_000, 20_000);
-        s.record_cumulative("sim.node0.load", 1_000, 50_000);
-        s.record_cumulative("sim.node0.local_dram", 1_000, 100);
-        s.record_cumulative("sim.node0.remote_dram", 1_000, 900);
+        s.record_cumulative("node0.instructions", 1_000, 100_000);
+        s.record_cumulative("node0.cycles", 1_000, 200_000);
+        s.record_cumulative("node0.mem_stall", 1_000, 20_000);
+        s.record_cumulative("node0.load", 1_000, 50_000);
+        s.record_cumulative("node0.local_dram", 1_000, 100);
+        s.record_cumulative("node0.remote_dram", 1_000, 900);
         // Node 1: healthy local traffic -> dash.
-        s.record_cumulative("sim.node1.instructions", 1_000, 100_000);
-        s.record_cumulative("sim.node1.cycles", 1_000, 200_000);
-        s.record_cumulative("sim.node1.load", 1_000, 50_000);
-        s.record_cumulative("sim.node1.local_dram", 1_000, 900);
+        s.record_cumulative("node1.instructions", 1_000, 100_000);
+        s.record_cumulative("node1.cycles", 1_000, 200_000);
+        s.record_cumulative("node1.load", 1_000, 50_000);
+        s.record_cumulative("node1.local_dram", 1_000, 900);
         let (frame, _) = render_frame(&s, &Totals::new(), 1, 1, 100);
         assert!(frame.contains("node   patterns"), "{frame}");
         assert!(frame.contains("0      RMT"), "{frame}");

@@ -1,7 +1,7 @@
 //! Integration: Memhist and Phasenprüfer end to end on the simulated
 //! DL580, reproducing the §V-B and §V-C scenarios.
 
-use np_core::memhist::probe::{ProbeServer, RemoteMemhist};
+use np_core::memhist::probe::{FetchPolicy, ProbeServer, RemoteMemhist};
 use np_workloads::mlc;
 use numa_perf_tools::prelude::*;
 
@@ -114,7 +114,8 @@ fn remote_probe_roundtrip_over_tcp() {
     let server = ProbeServer::new(MachineSim::new(machine.clone()), program.clone());
     let handle = std::thread::spawn(move || server.serve(&listener, 1));
 
-    let remote = RemoteMemhist::fetch(addr, &config, 11).unwrap();
+    let remote =
+        RemoteMemhist::fetch_resilient(addr, &config, 11, &FetchPolicy::default(), None).unwrap();
     handle.join().unwrap().unwrap();
 
     let local = Memhist::new(config).measure(&MachineSim::new(machine), &program, 11);

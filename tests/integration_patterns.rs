@@ -144,6 +144,36 @@ fn foreign_capture_schema_is_rejected() {
     .unwrap_err();
     assert!(err.contains("schema"), "{err}");
     assert!(err.contains("np-other/9"), "{err}");
+
+    // Damaged captures are refused with a message, not a panic or an
+    // allocation sized by a number they carry.
+    let series = |name: &str, sums: &str| {
+        format!(
+            r#"{{"name":"{name}","stride":1,"t0":0,"dt":[0,10],"phase":[0,0],"count":[1,1],"sum":{sums},"min":[1,1],"max":[1,1]}}"#
+        )
+    };
+    for (tag, series) in [
+        ("short-sum", series("rep0.node0.qpi", "[1]")),
+        ("huge-node", series("rep0.node100000000000.qpi", "[1,1]")),
+    ] {
+        let path = dir.join(format!("{tag}.json"));
+        std::fs::write(
+            &path,
+            format!(
+                r#"{{"schema":"np-capture/1","machine":"y","workload":"x","seed":1,"repetitions":1,"phases":["-"],"series":[{series}]}}"#
+            ),
+        )
+        .unwrap();
+        let err = numa_perf_tools::cli::run(&args(&[
+            "patterns",
+            "--capture",
+            path.to_str().unwrap(),
+            "--out",
+            dir.join("doc.json").to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("invalid capture"), "{tag}: {err}");
+    }
 }
 
 /// The full 96-case sweep at two pool widths — minutes of debug-mode

@@ -1,12 +1,9 @@
 //! End-to-end check of the time-series layer: `run --sample` must write
 //! a byte-identical capture across repeated runs AND across pool thread
 //! counts (the determinism contract), `report` must render it as text
-//! and as a self-contained HTML file, and `top` must complete a bounded
-//! live loop.
-//!
-//! The global sampler and the phase stack are process-global, so the
-//! whole flow lives in one test function — independent #[test]s would
-//! race on them.
+//! and as a self-contained HTML file and refuse damaged documents with
+//! an error, and `top` must complete a bounded live loop that shows
+//! only its own machine.
 
 fn args(v: &[&str]) -> Vec<String> {
     v.iter().map(|s| s.to_string()).collect()
@@ -138,7 +135,48 @@ fn sampled_run_is_deterministic_and_reportable() {
     .unwrap_err();
     assert!(err.contains("schema"), "{err}");
 
-    // --- top: a bounded live loop over the global sampler -------------
+    // Damaged documents are refused with a message, not a panic or an
+    // allocation sized by a number they carry.
+    let mut short_sum = cap.clone();
+    short_sum.series[0].sum.pop();
+    let mut huge_node = cap.clone();
+    huge_node.series[0].name = "rep0.node100000000000.qpi".to_string();
+    for (tag, bad) in [("short-sum", &short_sum), ("huge-node", &huge_node)] {
+        let path = dir.join(format!("{tag}.capture.json"));
+        std::fs::write(&path, serde_json::to_string(bad).unwrap()).unwrap();
+        for html in [false, true] {
+            let mut argv = vec!["report", "--capture", path.to_str().unwrap()];
+            if html {
+                argv.extend(["--html", "--out", html_path.to_str().unwrap()]);
+            }
+            let err = numa_perf_tools::cli::run(&args(&argv)).unwrap_err();
+            assert!(err.contains("invalid capture"), "{tag}: {err}");
+        }
+    }
+    let mut short_start = tl.clone();
+    short_start.start_ns.pop();
+    let mut huge_pool = tl.clone();
+    huge_pool.workers = 10_000_000_000_000;
+    for (tag, bad) in [("short-start", &short_start), ("huge-pool", &huge_pool)] {
+        let path = dir.join(format!("{tag}.timeline.json"));
+        std::fs::write(&path, serde_json::to_string(bad).unwrap()).unwrap();
+        for html in [false, true] {
+            let mut argv = vec![
+                "report",
+                "--capture",
+                cap_path.to_str().unwrap(),
+                "--timeline",
+                path.to_str().unwrap(),
+            ];
+            if html {
+                argv.extend(["--html", "--out", html_path.to_str().unwrap()]);
+            }
+            let err = numa_perf_tools::cli::run(&args(&argv)).unwrap_err();
+            assert!(err.contains("invalid timeline"), "{tag}: {err}");
+        }
+    }
+
+    // --- top: a bounded live loop over the capture observer -----------
     let out = numa_perf_tools::cli::run(&args(&[
         "top",
         "--machine",
@@ -155,8 +193,57 @@ fn sampled_run_is_deterministic_and_reportable() {
     .unwrap();
     assert!(out.contains("np top"), "{out}");
     assert!(out.contains("3 tick(s)"), "{out}");
-    // The engine's live timeslice hook fed per-node series.
-    assert!(out.contains("sim.node0."), "{out}");
+    // The capture observer fed per-node series.
+    assert!(out.contains("node0."), "{out}");
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `top` draws only the runs of its own simulator, however many other
+/// simulations run in the process meanwhile.
+#[test]
+fn top_shows_only_its_own_machine() {
+    use np_simulator::{MachineConfig, MachineSim};
+    use np_workloads::Workload;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+    use std::sync::{mpsc, Arc};
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let ring_runs = Arc::new(AtomicU64::new(0));
+    let (looping, first_run) = mpsc::channel();
+    let other = {
+        let (stop, ring_runs) = (Arc::clone(&stop), Arc::clone(&ring_runs));
+        std::thread::spawn(move || {
+            let cfg = MachineConfig::eight_socket_ring();
+            let sim = MachineSim::new(cfg.clone());
+            let program = np_workloads::cache_miss::CacheMissKernel::row_major(64).build(&cfg);
+            while !stop.load(SeqCst) {
+                sim.run(&program, 1).unwrap();
+                if ring_runs.fetch_add(1, SeqCst) == 0 {
+                    looping.send(()).unwrap();
+                }
+            }
+        })
+    };
+    // Start `top` only once the eight-socket loop is running.
+    first_run.recv().unwrap();
+    let before = ring_runs.load(SeqCst);
+    let out = numa_perf_tools::cli::run(&args(&[
+        "top",
+        "--machine",
+        "two-socket",
+        "--size",
+        "256",
+        "--ticks",
+        "3",
+        "--interval",
+        "60",
+    ]))
+    .unwrap();
+    let during = ring_runs.load(SeqCst) - before;
+    stop.store(true, SeqCst);
+    other.join().unwrap();
+    assert!(during >= 1, "no eight-socket run completed while top ran");
+    assert!(out.contains("node1."), "{out}");
+    assert!(!out.contains("node7."), "{out}");
 }
