@@ -104,8 +104,12 @@ impl MatrixConfig {
         let mut sim = CellSpec::named("sim-throughput");
         sim.params.insert("size".to_string(), 20000.0);
         sim.threads = Some(vec![1]);
+        let mut json = CellSpec::named("json-roundtrip");
+        json.threads = Some(vec![1]);
         MatrixConfig {
-            cells: vec![campaign, ladder, phasen, correlate, analysis, loadgen, sim],
+            cells: vec![
+                campaign, ladder, phasen, correlate, analysis, loadgen, sim, json,
+            ],
             ..MatrixConfig::default()
         }
     }

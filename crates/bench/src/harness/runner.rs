@@ -3,8 +3,8 @@
 //! Each driver builds its fixture, computes the *sequential* reference
 //! result once (the bit-equality base), then runs warmup + `repeats`
 //! recorded samples of the pooled/concurrent path at the cell's thread
-//! count. Drivers with no pool (`memhist-ladder`, `sim-throughput`)
-//! take their first run as the base. Thread starts are
+//! count. Drivers with no pool (`memhist-ladder`, `sim-throughput`,
+//! `json-roundtrip`) take their first run as the base. Thread starts are
 //! barrier-synchronised (inside `np_parallel::Pool` and the loadgen
 //! hammer), so samples never fold spawn skew into the measured wall. All
 //! timing flows through `np_telemetry::now_ns` — this module sits in the
@@ -23,7 +23,7 @@ use np_simulator::{AllocPolicy, HwEvent, MachineConfig, MachineSim, ProgramBuild
 use std::collections::BTreeMap;
 
 /// Every cell driver the harness knows, in matrix order.
-pub const DRIVERS: [&str; 7] = [
+pub const DRIVERS: [&str; 8] = [
     "campaign",
     "memhist-ladder",
     "phasen-scan",
@@ -31,6 +31,7 @@ pub const DRIVERS: [&str; 7] = [
     "analysis-sweep",
     "loadgen",
     "sim-throughput",
+    "json-roundtrip",
 ];
 
 /// Resolves a machine preset name, or loads a `MachineConfig` from a
@@ -145,6 +146,7 @@ fn drive(
         "analysis-sweep" => analysis_sweep(spec, threads, cfg, machine),
         "loadgen" => loadgen(spec, threads, cfg),
         "sim-throughput" => sim_throughput(spec, cfg, machine),
+        "json-roundtrip" => json_roundtrip(cfg),
         other => Err(format!(
             "np bench: unknown cell driver '{other}' (expected one of: {})",
             DRIVERS.join(", ")
@@ -396,6 +398,37 @@ fn sim_throughput(
         digest: digest_str(&base),
         audit_ok,
         metrics: BTreeMap::from([("det_accesses".to_string(), (2 * size) as f64)]),
+    })
+}
+
+/// `json-roundtrip`: the JSON codec on the exchange's largest frame, the
+/// `Sets` reply carrying one synthetic machine's 48 indicator sets. Each
+/// sample encodes the frame and decodes it back; the decoded frame must
+/// equal the original. The digest covers the encoded text, so a change
+/// to the wire format moves it, and `det_bytes` counts its bytes.
+fn json_roundtrip(cfg: &MatrixConfig) -> Result<CellOutcome, String> {
+    let frame =
+        np_serve::ResponseFrame::new(vec![np_serve::Response::Sets(np_serve::proto::SetsReply {
+            sets: np_serve::loadgen::machine_sets("host-a", cfg.seed),
+        })]);
+    let encode = || serde_json::to_string(&frame).map_err(|e| format!("json-roundtrip: {e}"));
+    let base = encode()?;
+    let (samples_ns, audit_ok) = sample_cell(cfg.warmup, cfg.repeats, &base, || {
+        let text = match encode() {
+            Ok(text) => text,
+            Err(e) => return e,
+        };
+        match serde_json::from_str::<np_serve::ResponseFrame>(&text) {
+            Ok(back) if back == frame => text,
+            Ok(_) => "json-roundtrip: the decoded frame differs".to_string(),
+            Err(e) => format!("json-roundtrip: {e}"),
+        }
+    });
+    Ok(CellOutcome {
+        samples_ns,
+        digest: digest_str(&base),
+        audit_ok,
+        metrics: BTreeMap::from([("det_bytes".to_string(), base.len() as f64)]),
     })
 }
 

@@ -249,9 +249,11 @@ impl Capture {
     }
 
     /// Checks the schema tag, that each series' per-bin vectors have one
-    /// entry per bin and phase indices inside the phase table, and that
-    /// node ids stay below the series count (as a real capture's do, one
-    /// series per node at least), so per-node tables fit the file.
+    /// entry per bin, that its bin times (`t0` plus the running `dt` sum)
+    /// and its total (the sum of its bin sums) fit a `u64` and its phase
+    /// indices the phase table, and that node ids stay below the series
+    /// count (as a real capture's do, one series per node at least), so
+    /// per-node tables fit the file.
     fn validate(&self) -> Result<(), String> {
         check_schema(&self.schema, CAPTURE_SCHEMA)?;
         for s in &self.series {
@@ -262,6 +264,23 @@ impl Capture {
                     s.name,
                     s.dt.len()
                 ));
+            }
+            if s.dt
+                .iter()
+                .try_fold(s.t0, |t, &dt| t.checked_add(dt))
+                .is_none()
+            {
+                return Err(format!(
+                    "series '{}' has bin times past 2^64 (t0 {} plus its dt sum)",
+                    s.name, s.t0
+                ));
+            }
+            if s.sum
+                .iter()
+                .try_fold(0u64, |t, &v| t.checked_add(v))
+                .is_none()
+            {
+                return Err(format!("series '{}' has bin sums past 2^64", s.name));
             }
             if let Some(p) = s.phase.iter().find(|&&p| p >= self.phases.len() as u64) {
                 return Err(format!(
@@ -421,6 +440,34 @@ mod tests {
         let json = serde_json::to_string(&cap).unwrap();
         let back: Capture = serde_json::from_str(&json).unwrap();
         assert_eq!(cap, back);
+    }
+
+    #[test]
+    fn bin_times_past_u64_max_are_invalid() {
+        let mut sampler = Sampler::new(16);
+        sampler.record_with_phase("rep0.node0.qpi", 10, 5, "measure");
+        sampler.record_with_phase("rep0.node0.qpi", 35, 7, "measure");
+        let mut cap = Capture::from_sampler("two-socket", "row-major", 42, 1, &sampler);
+        assert!(cap.validate().is_ok());
+        assert_eq!(cap.series[0].dt, vec![0, 25]);
+        cap.series[0].t0 = u64::MAX - 25;
+        assert!(cap.validate().is_ok(), "the last bin lands on u64::MAX");
+        cap.series[0].t0 = u64::MAX - 24;
+        let err = cap.validate().unwrap_err();
+        assert!(err.contains("bin times past 2^64"), "{err}");
+    }
+
+    #[test]
+    fn bin_sums_past_u64_max_are_invalid() {
+        let mut sampler = Sampler::new(16);
+        sampler.record_with_phase("rep0.node0.qpi", 10, 5, "measure");
+        sampler.record_with_phase("rep0.node0.qpi", 35, 7, "measure");
+        let mut cap = Capture::from_sampler("two-socket", "row-major", 42, 1, &sampler);
+        cap.series[0].sum = vec![u64::MAX - 1, 1];
+        assert!(cap.validate().is_ok(), "the total lands on u64::MAX");
+        cap.series[0].sum = vec![u64::MAX, 1];
+        let err = cap.validate().unwrap_err();
+        assert!(err.contains("bin sums past 2^64"), "{err}");
     }
 
     #[test]

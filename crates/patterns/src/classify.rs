@@ -55,7 +55,9 @@ fn margin_pm(op: RuleOp, threshold: u64, observed: u64) -> u64 {
         RuleOp::Ge => observed.abs_diff(threshold),
         RuleOp::Le => threshold.abs_diff(observed),
     };
-    (distance * 1000 / t).min(1000)
+    // In u128: an observed value from a hostile capture may be near
+    // `u64::MAX`.
+    (u128::from(distance) * 1000 / u128::from(t)).min(1000) as u64
 }
 
 /// Evaluates every signature against one metric set.
@@ -144,6 +146,13 @@ mod tests {
             nodes: vec![n, n],
             wall_cycles: 200_000,
         })
+    }
+
+    #[test]
+    fn margins_clamp_for_observed_values_near_u64_max() {
+        assert_eq!(margin_pm(RuleOp::Ge, 300, u64::MAX), 1000);
+        assert_eq!(margin_pm(RuleOp::Le, u64::MAX, 0), 1000);
+        assert_eq!(margin_pm(RuleOp::Ge, 1000, 1500), 500);
     }
 
     #[test]

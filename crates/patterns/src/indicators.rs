@@ -46,36 +46,38 @@ pub struct NodeVector {
 }
 
 impl NodeVector {
-    /// DRAM requests issued by this node's cores.
+    /// DRAM requests issued by this node's cores (saturating).
     pub fn dram_requests(&self) -> u64 {
-        self.local_dram + self.remote_dram
+        self.local_dram.saturating_add(self.remote_dram)
     }
 
-    /// Traffic served by this node's memory controller.
+    /// Traffic served by this node's memory controller (saturating).
     pub fn imc_total(&self) -> u64 {
-        self.imc_read + self.imc_write
+        self.imc_read.saturating_add(self.imc_write)
     }
 
     /// Accumulates one event family by its short series name (the
     /// `LIVE_NODE_EVENTS` vocabulary); unknown names are ignored, so
-    /// callers can feed mixed telemetry streams straight through.
+    /// callers can feed mixed telemetry streams straight through. Sums
+    /// saturate: a capture file's counts are not trusted to fit.
     pub fn add(&mut self, short: &str, v: u64) {
-        match short {
-            "instructions" => self.instructions += v,
-            "cycles" => self.cycles += v,
-            "mem_stall" => self.mem_stall += v,
-            "local_dram" => self.local_dram += v,
-            "remote_dram" => self.remote_dram += v,
-            "qpi" => self.qpi += v,
-            "hitm" => self.hitm += v,
-            "l3_miss" => self.l3_miss += v,
-            "dtlb_miss" => self.dtlb_miss += v,
-            "load" => self.load += v,
-            "store" => self.store += v,
-            "imc_read" => self.imc_read += v,
-            "imc_write" => self.imc_write += v,
-            _ => {}
-        }
+        let field = match short {
+            "instructions" => &mut self.instructions,
+            "cycles" => &mut self.cycles,
+            "mem_stall" => &mut self.mem_stall,
+            "local_dram" => &mut self.local_dram,
+            "remote_dram" => &mut self.remote_dram,
+            "qpi" => &mut self.qpi,
+            "hitm" => &mut self.hitm,
+            "l3_miss" => &mut self.l3_miss,
+            "dtlb_miss" => &mut self.dtlb_miss,
+            "load" => &mut self.load,
+            "store" => &mut self.store,
+            "imc_read" => &mut self.imc_read,
+            "imc_write" => &mut self.imc_write,
+            _ => return,
+        };
+        *field = field.saturating_add(v);
     }
 }
 
@@ -142,9 +144,9 @@ impl Indicators {
         }
     }
 
-    /// Machine-wide sum of one field.
+    /// Machine-wide sum of one field (saturating).
     pub fn total(&self, f: impl Fn(&NodeVector) -> u64) -> u64 {
-        self.nodes.iter().map(f).sum()
+        self.nodes.iter().map(f).fold(0, u64::saturating_add)
     }
 
     /// Nodes actually executing work: instruction count above 1% of the
@@ -172,6 +174,26 @@ mod tests {
         cfg.noise.timer_interval = 0;
         cfg.noise.dram_jitter = 0.0;
         cfg
+    }
+
+    #[test]
+    fn node_sums_saturate_on_hostile_counts() {
+        let mut n = NodeVector::default();
+        n.add("imc_read", u64::MAX - 1);
+        n.add("imc_read", 5);
+        n.add("imc_write", 9);
+        n.add("local_dram", u64::MAX);
+        n.add("remote_dram", 1);
+        n.add("unknown", u64::MAX);
+        assert_eq!(n.imc_read, u64::MAX);
+        assert_eq!(n.imc_total(), u64::MAX);
+        assert_eq!(n.dram_requests(), u64::MAX);
+        let ind = Indicators {
+            nodes: vec![n, n],
+            wall_cycles: 0,
+        };
+        assert_eq!(ind.total(|n| n.imc_write), 18);
+        assert_eq!(ind.total(|n| n.imc_read), u64::MAX);
     }
 
     #[test]

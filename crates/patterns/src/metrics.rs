@@ -79,9 +79,18 @@ impl MetricSet {
     }
 }
 
-/// `a * 1000 / b`, `None` when the denominator is empty.
+/// `a * 1000 / b`, `None` when the denominator is empty. Computed in
+/// `u128`, so counts past `u64::MAX / 1000` (a hostile capture's) cannot
+/// overflow; a ratio too large for `u64` saturates.
 fn per_mille(a: u64, b: u64) -> Option<u64> {
-    (a * 1000).checked_div(b)
+    (u128::from(a) * 1000)
+        .checked_div(u128::from(b))
+        .map(saturate)
+}
+
+/// `v` as `u64`, saturating.
+fn saturate(v: u128) -> u64 {
+    u64::try_from(v).unwrap_or(u64::MAX)
 }
 
 /// `1000 - mean/max` over a set of per-node values: 0 = perfectly even,
@@ -92,9 +101,9 @@ fn skew_pm(values: &[u64]) -> u64 {
     if values.len() < 2 || max == 0 {
         return 0;
     }
-    let sum: u64 = values.iter().sum();
-    let mean_pm = sum * 1000 / values.len() as u64;
-    1000 - mean_pm / max
+    let sum: u128 = values.iter().map(|&v| u128::from(v)).sum();
+    let mean_pm = sum * 1000 / values.len() as u128;
+    1000 - saturate(mean_pm / u128::from(max))
 }
 
 /// Concentration of a set of per-node values: 0 = perfectly even, 1000 =
@@ -107,8 +116,9 @@ fn concentration_pm(values: &[u64]) -> u64 {
     if k < 2 || max == 0 {
         return 0;
     }
-    let sum: u64 = values.iter().sum();
-    (max * k - sum) * 1000 / (max * (k - 1))
+    let (max, k) = (u128::from(max), u128::from(k));
+    let sum: u128 = values.iter().map(|&v| u128::from(v)).sum();
+    saturate((max * k - sum) * 1000 / (max * (k - 1)))
 }
 
 /// Derives every metric from one indicator vector.
@@ -118,17 +128,18 @@ pub fn derive(ind: &Indicators) -> MetricSet {
     let remote = ind.total(|n| n.remote_dram);
     let cycles = ind.total(|n| n.cycles);
     let instructions = ind.total(|n| n.instructions);
-    let mem_ops = ind.total(|n| n.load) + ind.total(|n| n.store);
+    let mem_ops = ind.total(|n| n.load).saturating_add(ind.total(|n| n.store));
+    let dram = local.saturating_add(remote);
 
     m.set(
         MetricId::RemoteRatio,
-        if local + remote == 0 {
+        if dram == 0 {
             Some(0)
         } else {
-            per_mille(remote, local + remote)
+            per_mille(remote, dram)
         },
     );
-    m.set(MetricId::DramPerKcycle, per_mille(local + remote, cycles));
+    m.set(MetricId::DramPerKcycle, per_mille(dram, cycles));
     m.set(
         MetricId::MemStallFrac,
         per_mille(ind.total(|n| n.mem_stall), cycles),
@@ -241,6 +252,27 @@ mod tests {
         assert_eq!(m.get(MetricId::HitmPerKop), None);
         assert_eq!(m.get(MetricId::DtlbMpki), None);
         assert_eq!(m.get(MetricId::WorkSkew), None);
+    }
+
+    #[test]
+    fn counts_past_u64_max_over_1000_do_not_overflow() {
+        let big = u64::MAX / 2;
+        assert_eq!(per_mille(big, big), Some(1000));
+        assert_eq!(per_mille(u64::MAX, 1), Some(u64::MAX), "saturates");
+        assert_eq!(skew_pm(&[big, big]), 0);
+        assert_eq!(skew_pm(&[u64::MAX, 0]), 500);
+        assert_eq!(concentration_pm(&[u64::MAX, 0]), 1000);
+        assert_eq!(concentration_pm(&[big, big, big]), 0);
+        // A hostile capture's counts: every metric derives, none panics.
+        let big = u64::MAX / 4;
+        let ind = Indicators {
+            nodes: vec![node(big, big, big, u64::MAX), node(big, big, big, 0)],
+            wall_cycles: u64::MAX,
+        };
+        let m = derive(&ind);
+        assert_eq!(m.get(MetricId::RemoteRatio), Some(500));
+        assert_eq!(m.get(MetricId::ImcSkew), Some(1000));
+        assert_eq!(m.get(MetricId::WorkSkew), Some(0));
     }
 
     #[test]

@@ -228,8 +228,9 @@ fn synth_set(machine: &str, param: u64, seed: u64) -> IndicatorSet {
     }
 }
 
-/// All sets of one synthetic machine.
-fn machine_sets(machine: &str, seed: u64) -> Vec<IndicatorSet> {
+/// All sets of one synthetic machine: 48 sets of 18 indicators each,
+/// whose `Sets` reply is also the `np bench` JSON round-trip frame.
+pub fn machine_sets(machine: &str, seed: u64) -> Vec<IndicatorSet> {
     (0..SETS_PER_MACHINE)
         .map(|param| synth_set(machine, param, seed))
         .collect()

@@ -1,10 +1,12 @@
 //! `#[derive(Serialize, Deserialize)]` for the in-tree serde shim.
 //!
 //! Parses the item's token stream directly (no `syn`/`quote`; the
-//! workspace builds offline with zero external crates) and emits impls of
-//! the shim's `to_value`/`from_value` traits. Supports what the workspace
-//! uses: plain structs with named fields, and enums whose variants are
-//! unit-like or carry exactly one unnamed field.
+//! workspace builds offline with zero external crates) and emits the
+//! shim's two codec methods: `write_json`, which writes the value into a
+//! `serde::Writer`, and `read_json`, which reads it from a
+//! `serde::Parser`. Supports what the workspace uses: plain structs with
+//! named fields, and enums whose variants are unit-like or carry exactly
+//! one unnamed field.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -166,21 +168,21 @@ fn parse_variants(body: TokenStream) -> Vec<(String, usize)> {
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let out = match parse_item(input) {
         Item::Struct { name, fields } => {
-            let pushes: String = fields
+            let members: String = fields
                 .iter()
                 .map(|f| {
                     format!(
-                        "__obj.push((\"{f}\".to_string(), \
-                         ::serde::Serialize::to_value(&self.{f})));\n"
+                        "__w.key(\"{f}\");\n\
+                         ::serde::Serialize::write_json(&self.{f}, __w);\n"
                     )
                 })
                 .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         let mut __obj: Vec<(String, ::serde::Value)> = Vec::new();\n\
-                         {pushes}\
-                         ::serde::Value::Object(__obj)\n\
+                     fn write_json(&self, __w: &mut ::serde::Writer) {{\n\
+                         __w.begin_object();\n\
+                         {members}\
+                         __w.end_object();\n\
                      }}\n\
                  }}"
             )
@@ -189,19 +191,21 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             let arms: String = variants
                 .iter()
                 .map(|(v, arity)| match arity {
-                    0 => format!(
-                        "{name}::{v} => ::serde::Value::Str(\"{v}\".to_string()),\n"
-                    ),
+                    0 => format!("{name}::{v} => __w.str(\"{v}\"),\n"),
                     1 => format!(
-                        "{name}::{v}(__f0) => ::serde::Value::Object(vec![(\
-                         \"{v}\".to_string(), ::serde::Serialize::to_value(__f0))]),\n"
+                        "{name}::{v}(__f0) => {{\n\
+                             __w.begin_object();\n\
+                             __w.key(\"{v}\");\n\
+                             ::serde::Serialize::write_json(__f0, __w);\n\
+                             __w.end_object();\n\
+                         }}\n"
                     ),
                     n => panic!("derive shim: variant {name}::{v} has {n} fields (max 1)"),
                 })
                 .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
+                     fn write_json(&self, __w: &mut ::serde::Writer) {{\n\
                          match self {{\n{arms}}}\n\
                      }}\n\
                  }}"
@@ -215,17 +219,36 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let out = match parse_item(input) {
         Item::Struct { name, fields } => {
-            let reads: String = fields
+            // One slot per field, filled by the key's first occurrence;
+            // the struct literal then takes them in declaration order, so
+            // the first missing or mis-shaped field is the one reported.
+            let slots: String = (0..fields.len())
+                .map(|i| format!("let mut __f{i} = None;\n"))
+                .collect();
+            let arms: String = fields
                 .iter()
-                .map(|f| format!("{f}: ::serde::from_field(__obj, \"{f}\", \"{name}\")?,\n"))
+                .enumerate()
+                .map(|(i, f)| format!("\"{f}\" if __f{i}.is_none() => __f{i} = Some(__p.value()?),\n"))
+                .collect();
+            let takes: String = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| format!("{f}: ::serde::field(__f{i}, \"{name}\", \"{f}\")?,\n"))
                 .collect();
             format!(
                 "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(__v: &::serde::Value) \
+                     fn read_json(__p: &mut ::serde::Parser<'_>) \
                          -> Result<Self, ::serde::DeError> {{\n\
-                         let __obj = __v.as_object().ok_or_else(|| \
-                             ::serde::DeError::expected(\"object\", \"{name}\", __v))?;\n\
-                         Ok({name} {{\n{reads}}})\n\
+                         {slots}\
+                         let mut __key = __p.begin_object(\"{name}\")?;\n\
+                         while let Some(__k) = __key {{\n\
+                             match &*__k {{\n\
+                                 {arms}\
+                                 _ => __p.skip_value()?,\n\
+                             }}\n\
+                             __key = __p.next_key()?;\n\
+                         }}\n\
+                         Ok({name} {{\n{takes}}})\n\
                      }}\n\
                  }}"
             )
@@ -239,33 +262,27 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             let newtype_arms: String = variants
                 .iter()
                 .filter(|(_, a)| *a == 1)
-                .map(|(v, _)| {
-                    format!(
-                        "\"{v}\" => Ok({name}::{v}(\
-                         ::serde::Deserialize::from_value(__inner)?)),\n"
-                    )
-                })
+                .map(|(v, _)| format!("\"{v}\" => __p.value()?.map({name}::{v}),\n"))
                 .collect();
             format!(
                 "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(__v: &::serde::Value) \
+                     fn read_json(__p: &mut ::serde::Parser<'_>) \
                          -> Result<Self, ::serde::DeError> {{\n\
-                         match __v {{\n\
-                             ::serde::Value::Str(__s) => match __s.as_str() {{\n\
+                         match __p.begin_variant(\"{name}\")? {{\n\
+                             ::serde::Variant::Unit(__tag) => match &*__tag {{\n\
                                  {unit_arms}\
-                                 __other => Err(::serde::DeError(format!(\
-                                     \"unknown {name} variant '{{__other}}'\"))),\n\
+                                 _ => Err(::serde::DeError::unknown_variant(\"{name}\", &__tag)),\n\
                              }},\n\
-                             ::serde::Value::Object(__o) if __o.len() == 1 => {{\n\
-                                 let (__tag, __inner) = (&__o[0].0, &__o[0].1);\n\
-                                 match __tag.as_str() {{\n\
+                             ::serde::Variant::Newtype(__tag) => {{\n\
+                                 let __inner: Result<Self, ::serde::DeError> = match &*__tag {{\n\
                                      {newtype_arms}\
-                                     __other => Err(::serde::DeError(format!(\
-                                         \"unknown {name} variant '{{__other}}'\"))),\n\
-                                 }}\n\
+                                     _ => {{\n\
+                                         __p.skip_value()?;\n\
+                                         Err(::serde::DeError::unknown_variant(\"{name}\", &__tag))\n\
+                                     }}\n\
+                                 }};\n\
+                                 __p.end_variant(\"{name}\", __inner)\n\
                              }}\n\
-                             __other => Err(::serde::DeError::expected(\
-                                 \"string or 1-entry object\", \"{name}\", __other)),\n\
                          }}\n\
                      }}\n\
                  }}"

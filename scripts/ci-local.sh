@@ -67,6 +67,9 @@ if [[ "$quick" -eq 0 ]]; then
   echo "== nightly: exchange fault matrix (release) =="
   cargo test --release --offline --test integration_serve
 
+  echo "== nightly: hostile frames, large fuzz sample (release) =="
+  cargo test --release --offline --test hostile_frames -- --ignored
+
   echo "== nightly: resilience unit suites (release) =="
   cargo test --release --offline -p np-resilience -p np-core -p np-counters
 

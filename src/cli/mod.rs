@@ -590,7 +590,7 @@ CONFIG (TOML subset):
     workload = \"campaign\"         # campaign | memhist-ladder |
     size     = 48                 # phasen-scan | correlate-sweep |
     reps     = 6                  # analysis-sweep | loadgen |
-                                  # sim-throughput
+                                  # sim-throughput | json-roundtrip
 
     Any numeric key becomes a cell param; a per-cell `threads = [...]`
     overrides the global axis. A cell's id is workload/tN[/sSIZE], and

@@ -11,6 +11,10 @@ use np_bench::harness::{
     diff_reports, formats, gate, run_matrix, BenchReport, MatrixConfig, Verdict, BENCH_SCHEMA,
 };
 
+/// Digest of the compact text of the 48-set `Sets` reply at seed 1: the
+/// wire format the `json-roundtrip` cell pins.
+const JSON_ROUNDTRIP_DIGEST: &str = "54533be7308170df";
+
 fn smoke_report(harness_threads: usize) -> BenchReport {
     run_matrix(&MatrixConfig::smoke(), harness_threads).expect("smoke matrix must run")
 }
@@ -40,6 +44,20 @@ fn structure_is_deterministic_across_harness_threads() {
         cell.digest.clone()
     };
     let sim_reference = sim_digest(&reference);
+    // The JSON cell encodes and decodes one frame; its digest is the
+    // frame's text, the same at every harness width.
+    let json_digest = |report: &BenchReport| {
+        let cell = report
+            .cells
+            .iter()
+            .find(|c| c.workload == "json-roundtrip")
+            .expect("smoke matrix has a json-roundtrip cell");
+        assert_eq!(cell.id, "json-roundtrip/t1");
+        assert!(cell.audit_ok, "{} must audit clean", cell.id);
+        assert_eq!(cell.metrics["det_bytes"], 24_634.0);
+        cell.digest.clone()
+    };
+    assert_eq!(json_digest(&reference), JSON_ROUNDTRIP_DIGEST);
     for threads in [2, 8] {
         let got = smoke_report(threads);
         assert_eq!(
@@ -48,6 +66,7 @@ fn structure_is_deterministic_across_harness_threads() {
             "structure diverged at {threads} harness threads"
         );
         assert_eq!(sim_digest(&got), sim_reference);
+        assert_eq!(json_digest(&got), JSON_ROUNDTRIP_DIGEST);
         // Cell order is matrix order, not completion order.
         let ids: Vec<&str> = got.cells.iter().map(|c| c.id.as_str()).collect();
         let ref_ids: Vec<&str> = reference.cells.iter().map(|c| c.id.as_str()).collect();

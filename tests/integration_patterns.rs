@@ -147,14 +147,22 @@ fn foreign_capture_schema_is_rejected() {
 
     // Damaged captures are refused with a message, not a panic or an
     // allocation sized by a number they carry.
-    let series = |name: &str, sums: &str| {
+    let series = |name: &str, t0: u64, sums: &str| {
         format!(
-            r#"{{"name":"{name}","stride":1,"t0":0,"dt":[0,10],"phase":[0,0],"count":[1,1],"sum":{sums},"min":[1,1],"max":[1,1]}}"#
+            r#"{{"name":"{name}","stride":1,"t0":{t0},"dt":[0,10],"phase":[0,0],"count":[1,1],"sum":{sums},"min":[1,1],"max":[1,1]}}"#
         )
     };
     for (tag, series) in [
-        ("short-sum", series("rep0.node0.qpi", "[1]")),
-        ("huge-node", series("rep0.node100000000000.qpi", "[1,1]")),
+        ("short-sum", series("rep0.node0.qpi", 0, "[1]")),
+        ("huge-node", series("rep0.node100000000000.qpi", 0, "[1,1]")),
+        (
+            "time-overflow",
+            series("rep0.node0.qpi", u64::MAX - 5, "[1,1]"),
+        ),
+        (
+            "sum-overflow",
+            series("rep0.node0.qpi", 0, &format!("[{},1]", u64::MAX)),
+        ),
     ] {
         let path = dir.join(format!("{tag}.json"));
         std::fs::write(

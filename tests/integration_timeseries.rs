@@ -141,7 +141,17 @@ fn sampled_run_is_deterministic_and_reportable() {
     short_sum.series[0].sum.pop();
     let mut huge_node = cap.clone();
     huge_node.series[0].name = "rep0.node100000000000.qpi".to_string();
-    for (tag, bad) in [("short-sum", &short_sum), ("huge-node", &huge_node)] {
+    let mut time_overflow = cap.clone();
+    time_overflow.series[0].t0 = u64::MAX;
+    *time_overflow.series[0].dt.last_mut().unwrap() += 1;
+    let mut sum_overflow = cap.clone();
+    sum_overflow.series[0].sum.fill(u64::MAX);
+    for (tag, bad) in [
+        ("short-sum", &short_sum),
+        ("huge-node", &huge_node),
+        ("time-overflow", &time_overflow),
+        ("sum-overflow", &sum_overflow),
+    ] {
         let path = dir.join(format!("{tag}.capture.json"));
         std::fs::write(&path, serde_json::to_string(bad).unwrap()).unwrap();
         for html in [false, true] {
