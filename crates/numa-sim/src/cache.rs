@@ -4,6 +4,33 @@
 //! latencies. Lines are identified by their line address (`vaddr /
 //! line_bytes`); the model is virtually indexed throughout, which is sound
 //! because the simulator gives every program run its own address space.
+//!
+//! # Layout
+//!
+//! The ways live in three parallel arrays: packed tags, LRU stamps and one
+//! flag byte per way. A probe reads only the tags, one `u64` compare per
+//! way (128 bytes for a 16-way set); stamps are touched on hits and victim
+//! scans, flags on hits and installs.
+//!
+//! A tag word is `line | epoch << epoch_shift`. A line address is below
+//! `2^64 / line_bytes`, so the top `log2(line_bytes)` bits of the word are
+//! free (6 bits for 64-byte lines) and carry the epoch the way was written
+//! in. [`SetAssocCache::reset`] bumps the epoch, which makes every way
+//! stale in O(1): a probe for `line` compares against `line | current
+//! epoch` and so never matches a stale way. The all-ones epoch is never
+//! used, so `EMPTY` (`u64::MAX`) never equals a live tag; when the epoch
+//! counter would reach it, `reset` rewrites the tag array for real and
+//! starts again at 0 — O(1) amortised. With 1-byte lines no bit is free,
+//! every reset clears the tags, and only the line `u64::MAX` is
+//! unrepresentable.
+//!
+//! # Ownership mark
+//!
+//! Every write (a write probe or a dirty install) marks its way *owned*;
+//! [`SetAssocCache::downgrade`], invalidation and eviction clear the mark.
+//! The engine reads the mark on L1 only, to let a store skip the coherence
+//! directory when the line is already this core's exclusive dirty line
+//! (see `engine.rs`).
 
 use crate::config::CacheGeometry;
 
@@ -15,24 +42,11 @@ pub enum Probe {
         /// The line was installed by a prefetch and this is its first
         /// demand hit (used for `L2PrefetchHit` accounting).
         first_prefetch_hit: bool,
+        /// The way carried the ownership mark before this probe.
+        owned: bool,
     },
     /// Line absent.
     Miss,
-}
-
-/// A line resident in the cache.
-#[derive(Debug, Clone, Copy)]
-struct LineEntry {
-    tag: u64,
-    /// LRU stamp; larger = more recently used.
-    stamp: u64,
-    /// Epoch the entry was written in; an entry from an older epoch is
-    /// logically empty (see [`SetAssocCache::reset`]).
-    epoch: u32,
-    /// Set by prefetch installs, cleared on first demand hit.
-    prefetched: bool,
-    /// Dirty (modified) state for writeback accounting.
-    dirty: bool,
 }
 
 /// A set-associative, write-allocate, writeback cache with LRU replacement.
@@ -44,14 +58,24 @@ pub struct SetAssocCache {
     /// `sets - 1` when `sets` is a power of two; 0 selects the modulo
     /// path (the DL580 L3 has 36864 sets, which is not a power of two).
     set_mask: u64,
-    /// `sets × ways` entries; `tag == u64::MAX` marks an empty way.
-    entries: Vec<LineEntry>,
+    /// `sets × ways` packed tag words (see the module docs).
+    tags: Vec<u64>,
+    /// LRU stamp per way; larger = more recently used.
+    stamps: Vec<u64>,
+    /// [`PREFETCHED`] | [`DIRTY`] | [`OWNED`] per way.
+    flags: Vec<u8>,
     clock: u64,
-    /// Current epoch: an entry is valid iff its `epoch` matches. Bumping
-    /// this in [`SetAssocCache::reset`] invalidates every line in O(1)
-    /// instead of rewriting the entry array — which for the DL580 L3 is
-    /// tens of megabytes per simulated run.
-    epoch: u32,
+    /// Bit position of the epoch field; 64 when no bit is free.
+    epoch_shift: u32,
+    /// Current epoch, `0..=max_epoch`.
+    epoch: u64,
+    /// Last usable epoch: the epoch field's all-ones value minus one.
+    max_epoch: u64,
+    /// `epoch << epoch_shift`, ORed into every tag this epoch writes.
+    epoch_tag: u64,
+    /// `1 << epoch_shift` (saturated): a word `w` is live this epoch iff
+    /// `w ^ epoch_tag < line_limit`.
+    line_limit: u64,
 }
 
 /// Result of installing a line: the evicted victim, if any.
@@ -63,7 +87,14 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
+/// Tag word of an empty way.
 const EMPTY: u64 = u64::MAX;
+/// Installed by a prefetch, cleared on the first demand hit.
+const PREFETCHED: u8 = 1;
+/// Modified: the eviction needs a writeback.
+const DIRTY: u8 = 2;
+/// Written since the last downgrade (see the module docs).
+const OWNED: u8 = 4;
 
 impl SetAssocCache {
     /// Builds a cache from its geometry. Arbitrary set counts are allowed
@@ -72,52 +103,47 @@ impl SetAssocCache {
         let sets = geo.sets() as usize;
         assert!(sets > 0, "cache must have at least one set");
         assert!(geo.ways > 0);
+        let ways = geo.ways as usize;
+        // The high bits a line address never uses.
+        let epoch_bits = geo.line_bytes.max(1).ilog2();
+        let epoch_shift = 64 - epoch_bits;
         SetAssocCache {
             sets,
-            ways: geo.ways as usize,
+            ways,
             line_bytes: geo.line_bytes as u64,
             set_mask: if sets.is_power_of_two() {
                 sets as u64 - 1
             } else {
                 0
             },
-            entries: vec![
-                LineEntry {
-                    tag: EMPTY,
-                    stamp: 0,
-                    epoch: 0,
-                    prefetched: false,
-                    dirty: false
-                };
-                sets * geo.ways as usize
-            ],
+            tags: vec![EMPTY; sets * ways],
+            stamps: vec![0; sets * ways],
+            flags: vec![0; sets * ways],
             clock: 0,
+            epoch_shift,
             epoch: 0,
+            max_epoch: (1u64 << epoch_bits).saturating_sub(2),
+            epoch_tag: 0,
+            line_limit: 1u64.checked_shl(epoch_shift).unwrap_or(u64::MAX),
         }
     }
 
     /// Invalidates every line and restarts the LRU clock — equivalent to
-    /// a freshly built cache, in O(1). The epoch bump makes every
-    /// existing entry stale, and stale ways behave exactly like empty
-    /// ones in every probe and victim scan (a victim scan stops at the
-    /// first empty-or-stale way, just as a fresh scan stops at the first
-    /// empty one). On epoch wraparound the entry array is cleared for
+    /// a freshly built cache, in O(1) amortised. The epoch bump makes every
+    /// existing way stale, and stale ways behave exactly like empty ones
+    /// in every probe and victim scan (a victim scan stops at the first
+    /// empty-or-stale way, just as a fresh scan stops at the first empty
+    /// one). When the epoch field is used up the tag array is cleared for
     /// real, so reuse counts are unbounded.
     pub fn reset(&mut self) {
         self.clock = 0;
-        if self.epoch == u32::MAX {
-            for e in &mut self.entries {
-                *e = LineEntry {
-                    tag: EMPTY,
-                    stamp: 0,
-                    epoch: 0,
-                    prefetched: false,
-                    dirty: false,
-                };
-            }
+        if self.epoch == self.max_epoch {
+            self.tags.fill(EMPTY);
             self.epoch = 0;
+        } else {
+            self.epoch += 1;
         }
-        self.epoch += 1;
+        self.epoch_tag = self.epoch.checked_shl(self.epoch_shift).unwrap_or(0);
     }
 
     /// Line address for a byte address.
@@ -126,138 +152,132 @@ impl SetAssocCache {
         addr / self.line_bytes
     }
 
+    /// First way index of the set holding `line`.
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        if self.set_mask != 0 {
+    fn base_of(&self, line: u64) -> usize {
+        let set = if self.set_mask != 0 {
             (line & self.set_mask) as usize
         } else {
             (line % self.sets as u64) as usize
-        }
+        };
+        set * self.ways
+    }
+
+    /// Looks up the line of `addr` this epoch, as `(key, base, way)`:
+    /// `key` is the line's tag word, `base` the first way of its set and
+    /// `way` its index when resident.
+    #[inline]
+    fn find(&self, addr: u64) -> (u64, usize, Option<usize>) {
+        let line = self.line_of(addr);
+        let key = line | self.epoch_tag;
+        let base = self.base_of(line);
+        let hit = self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == key)
+            .map(|w| base + w);
+        (key, base, hit)
+    }
+
+    /// Whether tag word `word` holds a line of the current epoch.
+    #[inline]
+    fn live(&self, word: u64) -> bool {
+        word ^ self.epoch_tag < self.line_limit
     }
 
     /// Probes for the line containing `addr`, updating LRU on hit and
-    /// marking dirty when `write` is set.
+    /// marking it dirty and owned when `write` is set.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> Probe {
-        let line = self.line_of(addr);
-        let set = self.set_of(line);
         self.clock += 1;
-        let epoch = self.epoch;
-        let base = set * self.ways;
-        for e in &mut self.entries[base..base + self.ways] {
-            if e.tag == line && e.epoch == epoch {
-                e.stamp = self.clock;
-                let first_prefetch_hit = e.prefetched;
-                e.prefetched = false;
-                if write {
-                    e.dirty = true;
-                }
-                return Probe::Hit { first_prefetch_hit };
-            }
+        let (_, _, hit) = self.find(addr);
+        let Some(i) = hit else {
+            return Probe::Miss;
+        };
+        self.stamps[i] = self.clock;
+        let f = self.flags[i];
+        self.flags[i] = (f & !PREFETCHED) | if write { DIRTY | OWNED } else { 0 };
+        Probe::Hit {
+            first_prefetch_hit: f & PREFETCHED != 0,
+            owned: f & OWNED != 0,
         }
-        Probe::Miss
     }
 
     /// Checks residency without updating any state.
     pub fn contains(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        self.entries[base..base + self.ways]
-            .iter()
-            .any(|e| e.tag == line && e.epoch == self.epoch)
+        self.find(addr).2.is_some()
     }
 
     /// Installs the line containing `addr`, returning the eviction (if the
     /// victim way held a valid line). `prefetched` tags prefetch installs,
-    /// `dirty` marks write-allocated lines.
+    /// `dirty` marks write-allocated lines (and owns them).
     pub fn install(&mut self, addr: u64, prefetched: bool, dirty: bool) -> Option<Eviction> {
-        let line = self.line_of(addr);
-        let set = self.set_of(line);
         self.clock += 1;
-        let epoch = self.epoch;
-        let base = set * self.ways;
+        let (key, base, hit) = self.find(addr);
+        let written = if dirty { DIRTY | OWNED } else { 0 };
 
         // Already present (e.g. racing prefetch): refresh in place.
-        for e in &mut self.entries[base..base + self.ways] {
-            if e.tag == line && e.epoch == epoch {
-                e.stamp = self.clock;
-                e.dirty |= dirty;
-                e.prefetched &= prefetched;
-                return None;
-            }
+        if let Some(i) = hit {
+            self.stamps[i] = self.clock;
+            let keep = if prefetched { PREFETCHED } else { 0 };
+            self.flags[i] = (self.flags[i] & (keep | DIRTY | OWNED)) | written;
+            return None;
         }
 
-        // Choose victim: any empty-or-stale way, else LRU.
+        // Choose victim: the first empty-or-stale way, else LRU.
         let mut victim = base;
         let mut best = u64::MAX;
-        for (i, e) in self.entries[base..base + self.ways].iter().enumerate() {
-            if e.tag == EMPTY || e.epoch != epoch {
-                victim = base + i;
+        for i in base..base + self.ways {
+            if !self.live(self.tags[i]) {
+                victim = i;
                 break;
             }
-            if e.stamp < best {
-                best = e.stamp;
-                victim = base + i;
+            if self.stamps[i] < best {
+                best = self.stamps[i];
+                victim = i;
             }
         }
-        let evicted = {
-            let v = &self.entries[victim];
-            if v.tag == EMPTY || v.epoch != epoch {
-                None
-            } else {
-                Some(Eviction {
-                    line_addr: v.tag,
-                    dirty: v.dirty,
-                })
-            }
-        };
-        self.entries[victim] = LineEntry {
-            tag: line,
-            stamp: self.clock,
-            epoch,
-            prefetched,
-            dirty,
-        };
+        let word = self.tags[victim];
+        let evicted = self.live(word).then(|| Eviction {
+            line_addr: word ^ self.epoch_tag,
+            dirty: self.flags[victim] & DIRTY != 0,
+        });
+        self.tags[victim] = key;
+        self.stamps[victim] = self.clock;
+        self.flags[victim] = if prefetched { PREFETCHED } else { 0 } | written;
         evicted
     }
 
     /// Invalidates the line containing `addr` (coherence), returning whether
     /// it was present and dirty.
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let line = self.line_of(addr);
-        let set = self.set_of(line);
-        let epoch = self.epoch;
-        let base = set * self.ways;
-        for e in &mut self.entries[base..base + self.ways] {
-            if e.tag == line && e.epoch == epoch {
-                let dirty = e.dirty;
-                e.tag = EMPTY;
-                e.dirty = false;
-                e.prefetched = false;
-                return Some(dirty);
-            }
+        let i = self.find(addr).2?;
+        self.tags[i] = EMPTY;
+        let dirty = self.flags[i] & DIRTY != 0;
+        self.flags[i] = 0;
+        Some(dirty)
+    }
+
+    /// Clears the ownership mark of the line containing `addr`, if resident
+    /// (another core read it: the line is shared from now on).
+    pub fn downgrade(&mut self, addr: u64) {
+        if let Some(i) = self.find(addr).2 {
+            self.flags[i] &= !OWNED;
         }
-        None
     }
 
     /// Evicts one pseudo-random valid line (used to model interrupt cache
     /// pollution). `salt` seeds the choice deterministically.
     pub fn evict_random(&mut self, salt: u64) {
         let set = (salt % self.sets as u64) as usize;
-        let base = set * self.ways;
         let way = (salt >> 32) as usize % self.ways;
-        let e = &mut self.entries[base + way];
-        e.tag = EMPTY;
-        e.dirty = false;
-        e.prefetched = false;
+        let i = set * self.ways + way;
+        self.tags[i] = EMPTY;
+        self.flags[i] = 0;
     }
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.tag != EMPTY && e.epoch == self.epoch)
-            .count()
+        self.tags.iter().filter(|&&t| self.live(t)).count()
     }
 
     /// Total line capacity.
@@ -324,11 +344,15 @@ mod tests {
         let mut c = small();
         c.install(0x100, true, false);
         match c.access(0x100, false) {
-            Probe::Hit { first_prefetch_hit } => assert!(first_prefetch_hit),
+            Probe::Hit {
+                first_prefetch_hit, ..
+            } => assert!(first_prefetch_hit),
             other => panic!("{other:?}"),
         }
         match c.access(0x100, false) {
-            Probe::Hit { first_prefetch_hit } => assert!(!first_prefetch_hit),
+            Probe::Hit {
+                first_prefetch_hit, ..
+            } => assert!(!first_prefetch_hit),
             other => panic!("{other:?}"),
         }
     }
@@ -399,6 +423,96 @@ mod tests {
         used.reset();
         assert_eq!(used.occupancy(), 0);
         assert_eq!(used.access(0, false), Probe::Miss);
+    }
+
+    #[test]
+    fn resets_across_epoch_wraps_match_a_fresh_cache() {
+        // 64-byte lines leave 6 epoch bits: 63 epochs per tag clear. Run
+        // well past several wraps with a stale line planted every epoch.
+        let mut used = small();
+        for round in 0..200u64 {
+            used.install(round % 16 * 64, false, true);
+            used.reset();
+            assert_eq!(used.occupancy(), 0, "round {round}");
+            let mut fresh = small();
+            for i in 0..12u64 {
+                let addr = (i * 7 % 16) * 64;
+                assert_eq!(used.access(addr, false), fresh.access(addr, false));
+                assert_eq!(
+                    used.install(addr, false, i % 3 == 0),
+                    fresh.install(addr, false, i % 3 == 0)
+                );
+            }
+            assert_eq!(used.occupancy(), fresh.occupancy());
+        }
+    }
+
+    #[test]
+    fn small_lines_keep_exact_semantics() {
+        // 1-byte lines leave no epoch bit (every reset clears the tags),
+        // 2- and 32-byte lines a few; line addresses up to the widest the
+        // line size allows must behave as in any other cache.
+        for line_bytes in [1u32, 2, 32] {
+            let geo = CacheGeometry {
+                size_bytes: 8 * line_bytes as u64,
+                ways: 2,
+                line_bytes,
+            };
+            let mut c = SetAssocCache::new(geo);
+            let top = u64::MAX / line_bytes as u64 - 1; // a high line address
+            for round in 0..300 {
+                for line in [0, 1, top, top - 4] {
+                    let addr = line * line_bytes as u64;
+                    assert_eq!(
+                        c.access(addr, false),
+                        Probe::Miss,
+                        "{line_bytes} B, round {round}"
+                    );
+                    c.install(addr, false, false);
+                    assert!(c.contains(addr));
+                }
+                // Set 0 holds line 0; lines 4 and 8 map there too, so the
+                // second of them evicts line 0, the least recently used.
+                assert_eq!(c.install(4 * line_bytes as u64, false, false), None);
+                let ev = c.install(8 * line_bytes as u64, false, false);
+                assert_eq!(ev.map(|e| e.line_addr), Some(0), "{line_bytes} B");
+                c.reset();
+                assert_eq!(c.occupancy(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn writes_own_lines_until_downgraded_or_removed() {
+        let owned = |p: Probe| matches!(p, Probe::Hit { owned: true, .. });
+        let mut c = small();
+        // A dirty install owns the line; a clean one does not.
+        c.install(0x000, false, true);
+        c.install(0x040, false, false);
+        assert!(owned(c.access(0x000, false)));
+        assert!(!owned(c.access(0x040, false)));
+        // A write probe owns; a downgrade clears the mark, not the data.
+        c.access(0x040, true);
+        assert!(owned(c.access(0x040, false)));
+        c.downgrade(0x040);
+        assert!(!owned(c.access(0x040, false)));
+        assert_eq!(c.invalidate(0x040), Some(true));
+        // A prefetch refresh keeps the mark; reinstalling after an
+        // invalidation starts unowned.
+        c.install(0x000, true, false);
+        assert!(owned(c.access(0x000, false)));
+        c.invalidate(0x000);
+        c.install(0x000, false, false);
+        assert!(!owned(c.access(0x000, false)));
+        // A random eviction clears the way outright.
+        let mut one = SetAssocCache::new(CacheGeometry {
+            size_bytes: 64,
+            ways: 1,
+            line_bytes: 64,
+        });
+        one.install(0x000, false, true);
+        one.evict_random(0x1234);
+        assert_eq!(one.access(0x000, true), Probe::Miss);
     }
 
     #[test]

@@ -117,6 +117,15 @@ impl RunResult {
 
 /// Per-core microarchitectural state.
 struct CoreState {
+    /// L1d. Invariant: a way carrying the ownership mark (see
+    /// [`crate::cache`]) holds a line whose directory entry is exactly
+    /// `{sharers: this core, owner: this core}`, so a store that hits it
+    /// would leave the directory unchanged and skips it. A store sets the
+    /// mark; the one directory change that keeps this core's L1 copy — a
+    /// foreign read of the line — clears it (`downgrade`). Every other
+    /// change to the entry first removes the L1 copy: a foreign store's
+    /// invalidation, an eviction from the inclusive L2, a timer eviction,
+    /// or the install of another line into the way.
     l1: SetAssocCache,
     l2: SetAssocCache,
     tlb: Tlb,
@@ -491,7 +500,7 @@ impl MachineSim {
                     // its speculation window back.
                     let gap = now.saturating_sub(core.last_branch).max(1);
                     let frac = (core.stall_acc.min(gap) as f64) / gap as f64;
-                    let keep = (-(gap as f64) / 2500.0).exp();
+                    let keep = ema_keep(gap);
                     core.stall_ema = keep * core.stall_ema + (1.0 - keep) * frac;
                     core.stall_acc = 0;
                     core.last_branch = now;
@@ -747,20 +756,30 @@ impl MachineSim {
             }
         }
 
-        // --- coherence for stores: always upgrade, even on private hits ---
+        // --- L1 probe ---
+        // The directory traffic below touches only other cores' caches, so
+        // probing this core's L1 first changes nothing that it observes.
+        let l1_probe = cores[core_id].l1.access(addr, is_store);
+
+        // --- coherence for stores: upgrade, even on private hits, unless
+        // the line is already this core's owned L1 line (the directory
+        // entry would not change; see `CoreState::l1`) ---
         let line_addr = addr / cfg.l1d.line_bytes as u64;
-        if is_store {
+        if is_store && !matches!(l1_probe, Probe::Hit { owned: true, .. }) {
             let (before, invalidated) = directory.record_write(line_addr, core_id as u32);
-            if !invalidated.is_empty() {
+            if invalidated != 0 {
                 counters.add(
                     core_id,
                     HwEvent::CoherenceInvalidation,
-                    invalidated.len() as u64,
+                    invalidated.count_ones() as u64,
                 );
-                for victim in &invalidated {
-                    counters.bump(*victim as usize, HwEvent::SnoopRequest);
-                    cores[*victim as usize].l1.invalidate(addr);
-                    cores[*victim as usize].l2.invalidate(addr);
+                let mut victims = invalidated;
+                while victims != 0 {
+                    let victim = victims.trailing_zeros() as usize;
+                    victims &= victims - 1;
+                    counters.bump(victim, HwEvent::SnoopRequest);
+                    cores[victim].l1.invalidate(addr);
+                    cores[victim].l2.invalidate(addr);
                 }
             }
             if let DirLookup::Modified { owner } = before {
@@ -784,8 +803,10 @@ impl MachineSim {
         }
 
         // --- L1 ---
-        let l1_probe = cores[core_id].l1.access(addr, is_store);
-        if let Probe::Hit { first_prefetch_hit } = l1_probe {
+        if let Probe::Hit {
+            first_prefetch_hit, ..
+        } = l1_probe
+        {
             counters.bump(core_id, HwEvent::L1dHit);
             // Streaming: consuming a prefetched line keeps the stream
             // running ahead, so steady-state sequential scans only miss on
@@ -821,7 +842,9 @@ impl MachineSim {
         // --- L2 ---
         let l2_probe = cores[core_id].l2.access(addr, is_store);
         let (mut latency, mut served, l2_hit) = match l2_probe {
-            Probe::Hit { first_prefetch_hit } => {
+            Probe::Hit {
+                first_prefetch_hit, ..
+            } => {
                 counters.bump(core_id, HwEvent::L2Hit);
                 if first_prefetch_hit {
                     counters.bump(core_id, HwEvent::L2PrefetchHit);
@@ -857,7 +880,9 @@ impl MachineSim {
                     if remote {
                         counters.bump(core_id, HwEvent::QpiTransfer);
                     }
-                    // The downgrade writes the dirty line back home.
+                    // The downgrade writes the dirty line back home and
+                    // leaves the owner a shared copy.
+                    cores[owner as usize].l1.downgrade(addr);
                     let home = space.node_of_access(addr, node);
                     counters.bump(cfg.topology.first_core_of_node(home), HwEvent::ImcWrite);
                 }
@@ -938,7 +963,8 @@ impl MachineSim {
             && matches!(
                 l2_probe,
                 Probe::Hit {
-                    first_prefetch_hit: true
+                    first_prefetch_hit: true,
+                    ..
                 }
             )
         {
@@ -996,6 +1022,26 @@ impl MachineSim {
             });
         }
         now
+    }
+}
+
+/// The weight the stall EMA keeps across a branch gap of `gap` cycles:
+/// `exp(-gap / 2500)`.
+fn ema_decay(gap: u64) -> f64 {
+    (-(gap as f64) / 2500.0).exp()
+}
+
+/// [`ema_decay`] of every gap below 2048, so that short gaps, the common
+/// case, read a table whose every value is bit-identical to computing it.
+static EMA_KEEP: std::sync::LazyLock<Box<[f64]>> =
+    std::sync::LazyLock::new(|| (0..2048).map(ema_decay).collect());
+
+/// [`ema_decay`], read from [`EMA_KEEP`] when the gap is in it.
+#[inline]
+fn ema_keep(gap: u64) -> f64 {
+    match EMA_KEEP.get(gap as usize) {
+        Some(&keep) => keep,
+        None => ema_decay(gap),
     }
 }
 
@@ -1567,6 +1613,125 @@ mod tests {
         }
         let r = sim.run(&b.build(), 1).expect("valid program");
         assert_eq!(r.region_total(7, HwEvent::LoadRetired), 200);
+    }
+
+    /// `record_write` calls of the last run on `sim`, read from the state
+    /// it parked in the scratch pool.
+    fn directory_writes(sim: &MachineSim) -> u64 {
+        let pool = sim.scratch.lock().unwrap();
+        pool.last().expect("a parked state").directory.writes()
+    }
+
+    /// Both threads meet at barrier `id`.
+    fn sync(b: &mut ProgramBuilder, threads: [usize; 2], id: u32) {
+        for t in threads {
+            b.barrier(t, id);
+        }
+    }
+
+    #[test]
+    fn repeated_stores_to_an_owned_line_skip_the_directory() {
+        let sim = machine();
+        let mut b = ProgramBuilder::new(&sim.config().topology, 4096);
+        let buf = b.alloc(4096, AllocPolicy::Bind(0));
+        let t = b.add_thread(0);
+        for i in 0..8u64 {
+            b.store(t, buf + i * 8);
+        }
+        let r = sim.run(&b.build(), 1).expect("valid program");
+        assert_eq!(r.total(HwEvent::StoreRetired), 8);
+        assert_eq!(directory_writes(&sim), 1);
+    }
+
+    #[test]
+    fn store_after_a_foreign_read_counts_a_hitm() {
+        // The reader's HITM downgrades the writer's line, so the writer's
+        // next store must upgrade through the directory and invalidate the
+        // reader, whose next load is a HITM again.
+        let sim = machine();
+        let mut b = ProgramBuilder::new(&sim.config().topology, 4096);
+        let buf = b.alloc(4096, AllocPolicy::Bind(0));
+        let w = b.add_thread(0);
+        let rd = b.add_thread(1);
+        b.store(w, buf);
+        sync(&mut b, [w, rd], 1);
+        b.load(rd, buf);
+        sync(&mut b, [w, rd], 2);
+        b.store(w, buf);
+        sync(&mut b, [w, rd], 3);
+        b.load(rd, buf);
+        let r = sim.run(&b.build(), 1).expect("valid program");
+        assert_eq!(r.total(HwEvent::HitmTransfer), 2);
+        assert_eq!(r.total(HwEvent::CoherenceInvalidation), 1);
+        assert_eq!(directory_writes(&sim), 2);
+    }
+
+    #[test]
+    fn store_after_a_foreign_store_takes_the_directory_path() {
+        let sim = machine();
+        let mut b = ProgramBuilder::new(&sim.config().topology, 4096);
+        let buf = b.alloc(4096, AllocPolicy::Bind(0));
+        let a = b.add_thread(0);
+        let c = b.add_thread(1);
+        b.store(a, buf);
+        sync(&mut b, [a, c], 1);
+        b.store(c, buf);
+        sync(&mut b, [a, c], 2);
+        b.store(a, buf);
+        let r = sim.run(&b.build(), 1).expect("valid program");
+        // Each store after the first takes the line from the other core.
+        assert_eq!(r.total(HwEvent::HitmTransfer), 2);
+        assert_eq!(r.total(HwEvent::CoherenceInvalidation), 2);
+        assert_eq!(directory_writes(&sim), 3);
+    }
+
+    #[test]
+    fn store_after_its_own_l2_eviction_takes_the_directory_path() {
+        let sim = machine();
+        let l2 = sim.config().l2;
+        // Lines one L2 way-size apart share a set of the L2 (and the L1):
+        // `ways` more of them push the stored line out of the L2.
+        let stride = l2.sets() * l2.line_bytes as u64;
+        let mut b = ProgramBuilder::new(&sim.config().topology, 4096);
+        let buf = b.alloc((l2.ways as u64 + 1) * stride, AllocPolicy::Bind(0));
+        let t = b.add_thread(0);
+        b.store(t, buf);
+        for k in 1..=l2.ways as u64 {
+            b.load(t, buf + k * stride);
+        }
+        b.store(t, buf);
+        let r = sim.run(&b.build(), 1).expect("valid program");
+        assert_eq!(r.total(HwEvent::L1dMiss), l2.ways as u64 + 2);
+        assert_eq!(directory_writes(&sim), 2);
+    }
+
+    #[test]
+    fn store_after_a_timer_eviction_takes_the_directory_path() {
+        // A one-line L1, so the interrupt's random eviction always hits
+        // the stored line.
+        let writes_with_timer = |timer_interval: u64| {
+            let mut cfg = MachineConfig::two_socket_small();
+            cfg.noise.timer_interval = timer_interval;
+            cfg.noise.dram_jitter = 0.0;
+            cfg.l1d = crate::config::CacheGeometry {
+                size_bytes: 64,
+                ways: 1,
+                line_bytes: 64,
+            };
+            let sim = MachineSim::new(cfg);
+            let mut b = ProgramBuilder::new(&sim.config().topology, 4096);
+            let buf = b.alloc(4096, AllocPolicy::Bind(0));
+            let t = b.add_thread(0);
+            b.store(t, buf);
+            b.exec(t, 5_000);
+            b.store(t, buf);
+            let r = sim.run(&b.build(), 1).expect("valid program");
+            (r.total(HwEvent::TimerInterrupt), directory_writes(&sim))
+        };
+        assert_eq!(writes_with_timer(0), (0, 1));
+        let (interrupts, writes) = writes_with_timer(1_000);
+        assert!(interrupts > 0);
+        assert_eq!(writes, 2);
     }
 
     #[test]

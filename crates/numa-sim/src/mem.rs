@@ -1,6 +1,7 @@
 //! Virtual memory: regions, NUMA page placement policies, and the memory
 //! footprint that Phasenprüfer samples "through procfs".
 
+use crate::coherence::IntMap;
 use crate::topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -28,8 +29,10 @@ struct Region {
 
 /// The per-program virtual address space with NUMA page placement.
 ///
-/// Regions are carved sequentially out of a flat space, so all addresses
-/// are plain `u64`s that workload generators can do arithmetic on.
+/// Regions are carved back to back out of a flat space starting at
+/// `page_bytes`, so all addresses are plain `u64`s that workload
+/// generators can do arithmetic on, and the mapped addresses are exactly
+/// `page_bytes..next_base`.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     page_bytes: u64,
@@ -37,7 +40,7 @@ pub struct AddressSpace {
     next_base: u64,
     /// `page index -> owning node`, assigned lazily (first touch) or at
     /// allocation (bind/interleave).
-    page_nodes: std::collections::HashMap<u64, NodeId>,
+    page_nodes: IntMap<u64, NodeId>,
     nodes: usize,
     reserved_bytes: u64,
 }
@@ -50,7 +53,7 @@ impl AddressSpace {
             page_bytes,
             regions: Vec::new(),
             next_base: page_bytes, // keep 0 unmapped
-            page_nodes: std::collections::HashMap::new(),
+            page_nodes: IntMap::default(),
             nodes: topology.nodes,
             reserved_bytes: 0,
         }
@@ -138,11 +141,10 @@ impl AddressSpace {
     }
 
     /// Whether `addr` falls inside an allocated region. Regions are carved
-    /// sequentially, so they are sorted by base and a binary search
-    /// suffices.
+    /// back to back from `page_bytes`, so their union is one range.
+    #[inline]
     pub fn contains(&self, addr: u64) -> bool {
-        let i = self.regions.partition_point(|r| r.base <= addr);
-        i > 0 && addr < self.regions[i - 1].base + self.regions[i - 1].bytes
+        (self.page_bytes..self.next_base).contains(&addr)
     }
 }
 

@@ -21,7 +21,8 @@ pub struct BenchMeta {
     pub meta_version: u64,
     /// Emitting tool (`np-bench`, `loadgen`).
     pub tool: String,
-    /// Hostname (env `HOSTNAME`/`HOST`, else `unknown`).
+    /// Host name: the kernel's, else env `HOSTNAME`/`HOST`, else
+    /// `unknown`.
     pub host: String,
     /// Hardware threads available on the host.
     pub host_threads: u64,
@@ -39,15 +40,30 @@ impl BenchMeta {
         BenchMeta {
             meta_version: BENCH_META_VERSION,
             tool: tool.to_string(),
-            host: std::env::var("HOSTNAME")
-                .or_else(|_| std::env::var("HOST"))
-                .unwrap_or_else(|_| "unknown".to_string()),
+            host: host_name(Path::new(KERNEL_HOSTNAME), |key| std::env::var(key).ok()),
             host_threads: std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
             threads: threads as u64,
             seed,
             commit: read_commit(Path::new(".git")),
         }
     }
+}
+
+/// Where Linux publishes the host name.
+const KERNEL_HOSTNAME: &str = "/proc/sys/kernel/hostname";
+
+/// The host name: the first non-empty of the kernel's (read from
+/// `kernel`), `$HOSTNAME` and `$HOST`, else `unknown`. Shells set
+/// `HOSTNAME` without exporting it, so the environment alone usually
+/// misses it.
+fn host_name(kernel: &Path, env: impl Fn(&str) -> Option<String>) -> String {
+    std::fs::read_to_string(kernel)
+        .ok()
+        .into_iter()
+        .chain(["HOSTNAME", "HOST"].into_iter().filter_map(env))
+        .map(|name| name.trim().to_string())
+        .find(|name| !name.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Resolves the checked-out commit from a `.git` directory without
@@ -135,6 +151,25 @@ mod tests {
         // Garbage hash degrades instead of leaking.
         std::fs::write(dir.join("HEAD"), "not a hash\n").unwrap();
         assert_eq!(read_commit(&dir), "unknown");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn host_name_prefers_the_kernel_then_the_environment() {
+        let dir = std::env::temp_dir().join(format!("np-meta-host-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let kernel = dir.join("hostname");
+        let env = |key: &str| (key == "HOST").then(|| "from-env".to_string());
+        let no_env = |_: &str| None;
+        // The kernel's name wins, trimmed of its newline.
+        std::fs::write(&kernel, "vm\n").unwrap();
+        assert_eq!(host_name(&kernel, env), "vm");
+        // An empty or missing kernel file falls through to the environment.
+        std::fs::write(&kernel, "\n").unwrap();
+        assert_eq!(host_name(&kernel, env), "from-env");
+        std::fs::remove_file(&kernel).unwrap();
+        assert_eq!(host_name(&kernel, env), "from-env");
+        assert_eq!(host_name(&kernel, no_env), "unknown");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -24,8 +24,9 @@ use crate::store::ShardedStore;
 use crate::window::RateWindow;
 use np_models::transfer::TransferModel;
 use np_resilience::{read_line_bounded, Fault, FaultInjector, NoFaults, StreamDeadlines};
+use std::collections::HashMap;
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -187,22 +188,28 @@ impl ExchangeServer {
         max_conns: Option<usize>,
         stop: &AtomicBool,
     ) -> std::io::Result<()> {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
+        let (tx, rx) = mpsc::channel::<(usize, TcpStream)>();
         let rx = Arc::new(Mutex::new(rx));
+        // Accepted connections whose handler has not returned, by accept
+        // number: a stop shuts them down, so a worker blocked reading an
+        // idle client returns at once instead of at its read deadline.
+        let live: Arc<Mutex<HashMap<usize, TcpStream>>> = Arc::default();
         let mut pool: Vec<JoinHandle<()>> = Vec::with_capacity(self.workers);
         for _ in 0..self.workers {
             let rx = Arc::clone(&rx);
+            let live = Arc::clone(&live);
             let shared = Arc::clone(&self.shared);
             pool.push(std::thread::spawn(move || loop {
-                let stream = {
+                let conn = {
                     let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
                     guard.recv()
                 };
-                match stream {
-                    Ok(stream) => {
+                match conn {
+                    Ok((id, stream)) => {
                         if handle_conn(&shared, stream).is_err() {
                             np_telemetry::counter!("serve.errors").inc();
                         }
+                        live.lock().unwrap_or_else(|p| p.into_inner()).remove(&id);
                     }
                     Err(_) => break, // accept loop gone: drain done
                 }
@@ -233,11 +240,21 @@ impl ExchangeServer {
                 Some(Fault::Delay(d)) => std::thread::sleep(d),
                 _ => {}
             }
-            if tx.send(stream).is_err() {
+            if let Ok(tracked) = stream.try_clone() {
+                live.lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .insert(accepted, tracked);
+            }
+            if tx.send((accepted, stream)).is_err() {
                 break Ok(()); // all workers died; nothing left to do
             }
         };
         drop(tx);
+        if stop.load(SeqCst) {
+            for (_, conn) in live.lock().unwrap_or_else(|p| p.into_inner()).drain() {
+                let _ = conn.shutdown(Shutdown::Both);
+            }
+        }
         for worker in pool {
             let _ = worker.join();
         }
@@ -270,8 +287,9 @@ impl ServerHandle {
         Arc::clone(&self.cache)
     }
 
-    /// Stops the accept loop and joins the server thread. A throwaway
-    /// connection unblocks the blocking `accept`.
+    /// Stops the accept loop, shuts down every open connection and joins
+    /// the server thread. A throwaway connection unblocks the blocking
+    /// `accept`; the shutdown ends workers blocked reading idle clients.
     pub fn stop(mut self) {
         self.stop.store(true, SeqCst);
         let _ = TcpStream::connect(self.addr);

@@ -103,3 +103,31 @@ fn a_repeat_run_with_the_same_seed_is_refused_with_its_cause() {
     loadgen::run(&LoadgenConfig { seed: 12, ..config }).expect("run with another seed");
     handle.stop();
 }
+
+/// `stop` shuts down open connections, so a client that connected and
+/// then went quiet does not hold the server until its read deadline.
+#[test]
+fn stop_returns_promptly_with_an_idle_client_connected() {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+
+    let server = ExchangeServer::new(2, 8).with_workers(2);
+    let handle = server
+        .start(ExchangeServer::bind().expect("bind"))
+        .expect("start");
+    let mut idle = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    // Give the accept loop time to hand the connection to a worker.
+    std::thread::sleep(Duration::from_millis(100));
+    let started = Instant::now();
+    handle.stop();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "stop took {took:?} with an idle client connected"
+    );
+    // The server closed the idle session: the client reads end-of-stream.
+    idle.set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("read timeout");
+    let mut buf = [0u8; 16];
+    assert_eq!(idle.read(&mut buf).expect("read after stop"), 0);
+}

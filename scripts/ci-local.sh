@@ -70,6 +70,9 @@ if [[ "$quick" -eq 0 ]]; then
   echo "== nightly: hostile frames, large fuzz sample (release) =="
   cargo test --release --offline --test hostile_frames -- --ignored
 
+  echo "== nightly: engine golden digests, dl580 and noisy ring legs (release) =="
+  cargo test --release --offline --test differential_engine -- --ignored
+
   echo "== nightly: resilience unit suites (release) =="
   cargo test --release --offline -p np-resilience -p np-core -p np-counters
 

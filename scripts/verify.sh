@@ -7,6 +7,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Scratch files of this run, removed on exit whether the run passes or not.
+tmp="$(mktemp -d -t np-verify.XXXXXX)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -29,7 +33,7 @@ echo "== one-run acquisition oracle, full registry (release) =="
 cargo test --release --offline --test differential_acquisition -- --include-ignored
 
 echo "== np audit (concurrency & determinism audit) =="
-audit_inv="$(mktemp -t np-unsafe-inventory.XXXXXX.md)"
+audit_inv="$tmp/unsafe-inventory.md"
 cargo run --release --offline --quiet -- audit --inventory "$audit_inv"
 # The committed unsafe inventory must match the tree: a new unsafe block
 # lands together with its SAFETY justification and inventory line.
@@ -40,10 +44,10 @@ cargo run --release --offline --quiet -- analyze --machine two-socket --size 96
 
 echo "== np patterns --verify (labeled-registry calibration proof) =="
 cargo run --release --offline --quiet -- patterns --verify \
-  --out "$(mktemp -t np-patterns.XXXXXX.json)"
+  --out "$tmp/patterns.json"
 
 echo "== np bench --smoke (matrix harness smoke, determinism audit) =="
 cargo run --release --offline --quiet -- bench --smoke \
-  --out "$(mktemp -t np-bench-smoke.XXXXXX.json)"
+  --out "$tmp/bench-smoke.json"
 
 echo "tier-1 verify: OK"

@@ -10,11 +10,29 @@ fn args(v: &[&str]) -> Vec<String> {
     v.iter().map(|s| s.to_string()).collect()
 }
 
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
+/// A fresh per-test directory under the system temp dir, removed with
+/// everything in it when the guard drops (also when the test panics).
+struct TmpDir(std::path::PathBuf);
+
+impl std::ops::Deref for TmpDir {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmp_dir(tag: &str) -> TmpDir {
     let dir = std::env::temp_dir().join(format!("np-patterns-int-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TmpDir(dir)
 }
 
 fn classify_single(out: &std::path::Path, json: bool) -> String {
