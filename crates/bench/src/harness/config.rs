@@ -106,9 +106,11 @@ impl MatrixConfig {
         sim.threads = Some(vec![1]);
         let mut json = CellSpec::named("json-roundtrip");
         json.threads = Some(vec![1]);
+        let mut serve = CellSpec::named("serve-frame");
+        serve.threads = Some(vec![1]);
         MatrixConfig {
             cells: vec![
-                campaign, ladder, phasen, correlate, analysis, loadgen, sim, json,
+                campaign, ladder, phasen, correlate, analysis, loadgen, sim, json, serve,
             ],
             ..MatrixConfig::default()
         }

@@ -11,7 +11,7 @@
 
 use crate::proto::{
     CostReply, IndicatorSet, PredictReq, QueryReq, Request, RequestFrame, Response, ResponseFrame,
-    StatsReply, PROTOCOL_VERSION,
+    StatsReply, MAX_REPLY_LINE_BYTES, PROTOCOL_VERSION,
 };
 use np_resilience::{read_line_bounded, RetryError, RetryPolicy, StreamDeadlines};
 use std::io::{BufReader, Write};
@@ -54,7 +54,7 @@ pub struct ClientLimits {
 impl Default for ClientLimits {
     fn default() -> Self {
         ClientLimits {
-            max_frame_bytes: 1 << 22,
+            max_frame_bytes: MAX_REPLY_LINE_BYTES,
             io: StreamDeadlines::symmetric(Duration::from_secs(5)),
         }
     }

@@ -26,6 +26,12 @@ use std::collections::BTreeMap;
 /// would mis-parse them.
 pub const PROTOCOL_VERSION: u32 = 2;
 
+/// Longest reply line, its newline included, that the stock client reads
+/// (the default `ClientLimits::max_frame_bytes`), and so the longest the
+/// server writes: a query whose sets would take its frame's reply past it
+/// is answered with a typed error instead.
+pub const MAX_REPLY_LINE_BYTES: usize = 1 << 22;
+
 /// Identity of the cost-model family used for `predict`; part of the
 /// prediction cache key so a future model change cannot serve stale models.
 pub const MODEL_ID: &str = "transfer-linear-v1";

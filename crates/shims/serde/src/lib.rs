@@ -231,6 +231,14 @@ impl Writer {
         self.out.push('"');
     }
 
+    /// One value that is already compact JSON text, copied verbatim: a
+    /// cached encoding is spliced in instead of being written again.
+    /// Compact output only: the text is not re-indented for a pretty
+    /// document, and it is not checked.
+    pub fn raw(&mut self, json: &str) {
+        self.out.push_str(json);
+    }
+
     /// Opens an object; each member follows [`Writer::key`].
     pub fn begin_object(&mut self) {
         self.open('{');
@@ -975,6 +983,20 @@ mod tests {
             let err = Parser::document::<String>(text).unwrap_err();
             assert_eq!(err.to_string(), "invalid \\u escape at byte 13", "{text}");
         }
+    }
+
+    #[test]
+    fn raw_text_is_spliced_verbatim() {
+        struct Spliced(String);
+        impl Serialize for Spliced {
+            fn write_json(&self, w: &mut Writer) {
+                w.raw(&self.0);
+            }
+        }
+        let value = vec![Value::UInt(1), Value::Str("q\"uote".into())];
+        let text = Writer::document(&value, false);
+        let spliced = vec![Spliced(text.clone()), Spliced(text.clone())];
+        assert_eq!(Writer::document(&spliced, false), format!("[{text},{text}]"));
     }
 
     #[test]
