@@ -41,7 +41,9 @@ pub struct TestRng {
 impl TestRng {
     /// Seeds the generator.
     pub fn seeded(seed: u64) -> TestRng {
-        TestRng { state: seed ^ 0x9E37_79B9_7F4A_7C15 }
+        TestRng {
+            state: seed ^ 0x9E37_79B9_7F4A_7C15,
+        }
     }
 
     /// Next raw 64-bit value.
@@ -195,13 +197,19 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> SizeRange {
             assert!(r.start < r.end, "empty vec size range");
-            SizeRange { lo: r.start, hi: r.end }
+            SizeRange {
+                lo: r.start,
+                hi: r.end,
+            }
         }
     }
 
     /// Strategy for vectors of `element` with a size drawn from `size`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     /// The result of [`vec`].

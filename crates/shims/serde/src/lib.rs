@@ -88,7 +88,10 @@ impl Value {
 
     /// Looks up an object key.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_object()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.as_object()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
     }
 }
 
@@ -645,14 +648,13 @@ impl<'a> Parser<'a> {
     }
 
     fn hex4(&mut self) -> Result<u32, DeError> {
-        let hex = self
-            .src
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.err(if self.pos + 4 > self.src.len() {
+        let hex = self.src.get(self.pos..self.pos + 4).ok_or_else(|| {
+            self.err(if self.pos + 4 > self.src.len() {
                 "truncated \\u escape"
             } else {
                 "bad \\u escape"
-            }))?;
+            })
+        })?;
         let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)
@@ -996,7 +998,10 @@ mod tests {
         let value = vec![Value::UInt(1), Value::Str("q\"uote".into())];
         let text = Writer::document(&value, false);
         let spliced = vec![Spliced(text.clone()), Spliced(text.clone())];
-        assert_eq!(Writer::document(&spliced, false), format!("[{text},{text}]"));
+        assert_eq!(
+            Writer::document(&spliced, false),
+            format!("[{text},{text}]")
+        );
     }
 
     #[test]
@@ -1008,6 +1013,9 @@ mod tests {
         assert_eq!(err.to_string(), "expected ',' or ']' at byte 10");
         let err = Parser::document::<Vec<u64>>("[1, \"x\", 3]").unwrap_err();
         assert!(!err.syntax);
-        assert_eq!(err.to_string(), "u64: expected unsigned integer, found string");
+        assert_eq!(
+            err.to_string(),
+            "u64: expected unsigned integer, found string"
+        );
     }
 }

@@ -12,8 +12,14 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// What we learned about the item the derive is attached to.
 enum Item {
-    Struct { name: String, fields: Vec<String> },
-    Enum { name: String, variants: Vec<(String, usize)> },
+    Struct {
+        name: String,
+        fields: Vec<String>,
+    },
+    Enum {
+        name: String,
+        variants: Vec<(String, usize)>,
+    },
 }
 
 /// Skips `#[...]` attribute pairs at the current position.
@@ -77,8 +83,14 @@ fn parse_item(input: TokenStream) -> Item {
     };
 
     match kind.as_str() {
-        "struct" => Item::Struct { name, fields: parse_fields(body.stream()) },
-        "enum" => Item::Enum { name, variants: parse_variants(body.stream()) },
+        "struct" => Item::Struct {
+            name,
+            fields: parse_fields(body.stream()),
+        },
+        "enum" => Item::Enum {
+            name,
+            variants: parse_variants(body.stream()),
+        },
         other => panic!("derive: cannot derive for `{other}` items"),
     }
 }
@@ -212,7 +224,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             )
         }
     };
-    out.parse().expect("derive(Serialize): generated code must parse")
+    out.parse()
+        .expect("derive(Serialize): generated code must parse")
 }
 
 #[proc_macro_derive(Deserialize)]
@@ -228,7 +241,9 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             let arms: String = fields
                 .iter()
                 .enumerate()
-                .map(|(i, f)| format!("\"{f}\" if __f{i}.is_none() => __f{i} = Some(__p.value()?),\n"))
+                .map(|(i, f)| {
+                    format!("\"{f}\" if __f{i}.is_none() => __f{i} = Some(__p.value()?),\n")
+                })
                 .collect();
             let takes: String = fields
                 .iter()
@@ -289,5 +304,6 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             )
         }
     };
-    out.parse().expect("derive(Deserialize): generated code must parse")
+    out.parse()
+        .expect("derive(Deserialize): generated code must parse")
 }

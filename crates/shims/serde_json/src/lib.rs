@@ -8,8 +8,8 @@
 //! roundtrip tests depend on this). Non-finite floats print as `null`,
 //! matching real serde_json.
 
-pub use serde::{Value, MAX_DEPTH};
 use serde::{Deserialize, Parser, Serialize, Writer};
+pub use serde::{Value, MAX_DEPTH};
 
 /// JSON syntax or shape error.
 #[derive(Debug, Clone)]
@@ -58,7 +58,10 @@ mod tests {
         let v = Value::Object(vec![
             ("a".into(), Value::UInt(7)),
             ("b".into(), Value::Float(0.06)),
-            ("c".into(), Value::Array(vec![Value::Int(-1), Value::Bool(true), Value::Null])),
+            (
+                "c".into(),
+                Value::Array(vec![Value::Int(-1), Value::Bool(true), Value::Null]),
+            ),
             ("d".into(), Value::Str("q\"uote\n".into())),
         ]);
         let compact = to_string(&v).unwrap();
@@ -77,9 +80,8 @@ mod tests {
 
     #[test]
     fn nesting_is_bounded_by_a_typed_error() {
-        let nest = |open: &str, close: &str, depth: usize| {
-            open.repeat(depth) + "0" + &close.repeat(depth)
-        };
+        let nest =
+            |open: &str, close: &str, depth: usize| open.repeat(depth) + "0" + &close.repeat(depth);
         assert!(parse_value(&nest("[", "]", MAX_DEPTH)).is_ok());
         assert!(parse_value(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
         assert!(parse_value(&nest("[{\"a\":", "}]", MAX_DEPTH / 2)).is_ok());

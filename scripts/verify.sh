@@ -11,8 +11,8 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d -t np-verify.XXXXXX)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== cargo fmt --check =="
-cargo fmt --check
+echo "== cargo fmt --all --check =="
+cargo fmt --all --check
 
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
