@@ -15,7 +15,7 @@ use np_counters::acquisition::{measure_batched, measure_multiplexed, Acquisition
 use np_counters::catalog::{EventCatalog, EventId};
 use np_counters::measurement::{Measurement, RunSet};
 use np_counters::pmu::PmuModel;
-use np_parallel::{ChunkProfile, Pool, PoolConfig, Schedule};
+use np_parallel::{ChunkProfile, Pool, PoolConfig};
 use np_simulator::{MachineConfig, MachineSim, Program};
 use np_telemetry::timeseries::Sampler;
 use np_workloads::Workload;
@@ -213,11 +213,10 @@ impl Runner {
             Some(_) => Pool::with_config(PoolConfig {
                 threads: self.pool.threads(),
                 chunk_size: Some(1),
-                ..PoolConfig::default()
             }),
             None => self.pool.clone(),
         };
-        let report = pool.run_report(plan.repetitions, repetition, &Schedule::Free);
+        let report = pool.run_report(plan.repetitions, repetition);
         let mut runs = Vec::with_capacity(plan.repetitions);
         let mut sampler = Sampler::new(capture.unwrap_or(0));
         for (rep, one) in report.results.into_iter().enumerate() {

@@ -15,11 +15,6 @@ pub struct Chunker {
     chunk_size: usize,
 }
 
-/// Chunks per worker the balanced policy aims for: enough slack that a
-/// slow chunk does not serialise the tail, few enough that queue traffic
-/// stays negligible next to simulation work.
-const CHUNKS_PER_WORKER: usize = 4;
-
 /// Target useful work per chunk for the adaptive policy, in nanoseconds
 /// (~1 ms). Below this floor the fixed per-chunk overhead — one queue
 /// round-trip, one deposit lock, one output vector — stops being
@@ -52,14 +47,6 @@ impl Chunker {
             items,
             chunk_size: chunk_size.max(1),
         }
-    }
-
-    /// The default policy: roughly [`CHUNKS_PER_WORKER`] chunks per
-    /// worker. Note the resulting chunk size depends on `workers`; the
-    /// merged output still does not, because merging is by index.
-    pub fn balanced(items: usize, workers: usize) -> Chunker {
-        let target = workers.max(1) * CHUNKS_PER_WORKER;
-        Chunker::new(items, items.div_ceil(target.max(1)).max(1))
     }
 
     /// Total items partitioned.
@@ -115,17 +102,6 @@ mod tests {
     fn empty_input_has_no_chunks() {
         let c = Chunker::new(0, 8);
         assert_eq!(c.chunk_count(), 0);
-    }
-
-    #[test]
-    fn balanced_targets_chunks_per_worker() {
-        let c = Chunker::balanced(64, 4);
-        assert_eq!(c.chunk_size(), 4); // 64 / (4 workers * 4)
-        assert_eq!(c.chunk_count(), 16);
-        // Tiny inputs still produce at-least-one-item chunks.
-        let t = Chunker::balanced(3, 8);
-        assert_eq!(t.chunk_size(), 1);
-        assert_eq!(t.chunk_count(), 3);
     }
 
     #[test]

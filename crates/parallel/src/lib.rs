@@ -9,10 +9,12 @@
 //!
 //! **Determinism.** A [`Pool`] splits `0..items` into contiguous chunks
 //! ([`Chunker`]), hands them to scoped `std::thread` workers through a
-//! [`BoundedQueue`], and merges every result back **in submission order**.
-//! The merged output is bit-identical for any thread count, any chunk
-//! size, and any interleaving — the schedule can only change *when* a
-//! chunk runs, never *where* its results land.
+//! bounded queue, and merges every result back **in submission order**,
+//! by chunk index. The merged output is bit-identical for any thread
+//! count, any chunk size, and any interleaving — which worker takes a
+//! chunk can only change *when* it runs, never *where* its results land.
+//! The proptests hold that under generated geometries with injected
+//! yields, and the stress suite under injected delays.
 //!
 //! **Panic propagation.** A worker panic is caught per item; [`Pool::run`]
 //! re-raises the earliest one (by item index) on the caller, while
@@ -20,11 +22,9 @@
 //! poisoning anything — the pool is per-call scoped state and stays
 //! reusable.
 //!
-//! **Schedule record/replay.** Every run records its dequeue interleaving
-//! as a [`Trace`]; a [`Schedule`] can replay a trace exactly (a mutex +
-//! condvar turnstile serialises queue acquisition in the recorded order)
-//! or generate a seeded pseudo-random order — the test harness for "a
-//! delayed task never reorders merged output".
+//! **Who ran what.** [`Pool::run_report`] returns each chunk's
+//! [`ChunkProfile`] (worker, queue wait, execution window) and the
+//! queue's counted traffic ([`QueueStats`]).
 //!
 //! **Telemetry.** Per-pool counters `par.tasks` (chunks executed),
 //! `par.steal` (chunks taken beyond a worker's fair share) and the
@@ -37,10 +37,8 @@
 
 pub mod chunk;
 pub mod pool;
-pub mod queue;
-pub mod schedule;
+mod queue;
 
 pub use chunk::{auto_chunk_size, Chunker, TARGET_CHUNK_NS};
 pub use pool::{modeled_makespan_ns, ChunkProfile, Pool, PoolConfig, PoolError, RunReport};
-pub use queue::{BoundedQueue, QueueStats};
-pub use schedule::{Schedule, Step, Trace};
+pub use queue::QueueStats;

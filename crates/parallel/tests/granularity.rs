@@ -6,15 +6,29 @@
 //! remainder across workers demands smaller chunks, or the tail simply
 //! runs out of items. These properties pin that floor, prove the emitted
 //! chunks are a lossless partition, and prove that merge order is
-//! invariant under any thread count — i.e. the adaptive geometry cannot
-//! leak into results.
+//! invariant under any thread count and interleaving — i.e. the adaptive
+//! geometry cannot leak into results.
 
-use np_parallel::{auto_chunk_size, Pool, PoolConfig, Schedule, TARGET_CHUNK_NS};
+use np_parallel::{auto_chunk_size, Pool, TARGET_CHUNK_NS};
 use proptest::prelude::*;
 
 /// Injective task so any lost/duplicated/reordered item shows up.
 fn task(i: usize) -> u64 {
     (i as u64).wrapping_mul(0x9E37_79B9) ^ 0x5A5A
+}
+
+/// [`task`], but the items whose seeded hash falls in the lowest quarter
+/// yield the thread a few times first, so each seed finishes chunks in
+/// another order.
+fn perturbed(seed: u64, i: usize) -> u64 {
+    let h =
+        (seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    if h >> 62 == 0 {
+        for _ in 0..3 {
+            std::thread::yield_now();
+        }
+    }
+    task(i)
 }
 
 /// Replays the adaptive producer's sizing loop deterministically: given a
@@ -99,44 +113,29 @@ proptest! {
     fn adaptive_merge_is_permutation_invariant_across_thread_counts(
         items in 0usize..400,
         threads in 1usize..9,
+        seed in 0u64..u64::MAX,
     ) {
-        // No fixed chunk_size → the free schedule takes the adaptive
-        // path (probes + measured sizing). Whatever geometry the run
-        // actually produced, the merged output must equal the
-        // sequential loop — and therefore agree across thread counts.
+        // No fixed chunk_size → the adaptive path (probes + measured
+        // sizing). Whatever geometry and interleaving the run actually
+        // produced, the merged output must equal the sequential loop —
+        // and therefore agree across thread counts.
         let expect: Vec<u64> = (0..items).map(task).collect();
-        let pool = Pool::with_config(PoolConfig {
-            threads,
-            chunk_size: None,
-            queue_capacity: 8,
-            ..PoolConfig::default()
-        });
-        let got = pool.run(items, task);
+        let got = Pool::new(threads).run(items, |i| perturbed(seed, i));
         prop_assert_eq!(got, expect);
     }
 
     #[test]
-    fn adaptive_trace_covers_every_chunk_exactly_once(
+    fn adaptive_profile_covers_every_chunk_exactly_once(
         items in 1usize..300,
         threads in 2usize..7,
     ) {
-        let pool = Pool::with_config(PoolConfig {
-            threads,
-            chunk_size: None,
-            queue_capacity: 8,
-            ..PoolConfig::default()
-        });
-        let report = pool.run_report(items, task, &Schedule::Free);
-        // The trace records each chunk grant once, in FIFO chunk order.
-        let chunks: Vec<usize> = report.trace.steps.iter().map(|s| s.chunk).collect();
-        let fifo: Vec<usize> = (0..report.trace.steps.len()).collect();
-        prop_assert_eq!(chunks, fifo);
+        let report = Pool::new(threads).run_report(items, task);
         // Profiles land one per chunk, in chunk order, and the queue
-        // moved exactly that many items.
-        prop_assert_eq!(report.profile.len(), report.trace.steps.len());
+        // moved exactly that many chunks.
         for (chunk, p) in report.profile.iter().enumerate() {
             prop_assert_eq!(p.chunk, chunk);
         }
+        prop_assert_eq!(report.queue.pops, report.profile.len() as u64);
         prop_assert_eq!(report.queue.pushes, report.queue.pops);
     }
 }
@@ -147,16 +146,9 @@ fn adaptive_chunking_amortises_cheap_items() {
     // 2×workers size-1 chunks, but once the measured cost comes back the
     // producer must emit large chunks — far fewer total chunks than
     // items. This is the counted (not timed) signature of granularity
-    // control; the balanced fallback would emit exactly 16 chunks, and a
-    // regression to per-item chunks would emit 16384.
-    let pool = Pool::with_config(PoolConfig {
-        threads: 4,
-        chunk_size: None,
-        queue_capacity: 32,
-        ..PoolConfig::default()
-    });
+    // control: a regression to per-item chunks would emit 16384.
     let items = 16_384usize;
-    let report = pool.run_report(items, task, &Schedule::Free);
+    let report = Pool::new(4).run_report(items, task);
     let chunks = report.profile.len();
     assert!(
         chunks < items / 4,

@@ -9,7 +9,7 @@
 //! the merged order — delays are exactly the nondeterminism the merge is
 //! supposed to erase.
 
-use np_parallel::{Pool, PoolConfig, PoolError, Schedule};
+use np_parallel::{Pool, PoolConfig, PoolError};
 use np_resilience::fault::{Fault, FaultInjector, ScriptedFaults};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
@@ -43,8 +43,6 @@ fn mixed_task_errors_and_panics_pick_the_earliest_item() {
     let pool = Pool::with_config(PoolConfig {
         threads: 8,
         chunk_size: Some(3),
-        queue_capacity: 4,
-        ..PoolConfig::default()
     });
     // A panic at 30 and a task error at 12: index order decides, not
     // completion order, so the Err(12) must win every time.
@@ -75,8 +73,6 @@ fn shutdown_drains_every_queued_chunk() {
     let pool = Pool::with_config(PoolConfig {
         threads: 16,
         chunk_size: Some(1),
-        queue_capacity: 2,
-        ..PoolConfig::default()
     });
     let out = pool.run(300, |i| {
         executed.fetch_add(1, SeqCst);
@@ -97,8 +93,6 @@ fn injected_delays_never_reorder_merged_output() {
     let pool = Pool::with_config(PoolConfig {
         threads: 6,
         chunk_size: Some(2),
-        queue_capacity: 4,
-        ..PoolConfig::default()
     });
     let got = pool.run(120, |i| {
         if let Some(Fault::Delay(d)) = faults.next("pool.task") {
@@ -108,34 +102,6 @@ fn injected_delays_never_reorder_merged_output() {
     });
     assert_eq!(got, expect);
     assert_eq!(faults.remaining(), 0, "all scripted delays consumed");
-}
-
-#[test]
-fn delayed_replay_still_matches_the_recorded_trace() {
-    // Replay under adversarial timing: the turnstile must enforce the
-    // recorded interleaving even when the replayed tasks are slower than
-    // the recording (the classic way replay harnesses drift).
-    let pool = Pool::with_config(PoolConfig {
-        threads: 3,
-        chunk_size: Some(1),
-        queue_capacity: 8,
-        ..PoolConfig::default()
-    });
-    let (out, trace) = pool.run_traced(30, |i| i * 13, &Schedule::Seeded(42));
-    let faults =
-        ScriptedFaults::new().inject_n("pool.task", Fault::Delay(Duration::from_millis(1)), 15);
-    let (replayed, replay_trace) = pool.run_traced(
-        30,
-        |i| {
-            if let Some(Fault::Delay(d)) = faults.next("pool.task") {
-                std::thread::sleep(d);
-            }
-            i * 13
-        },
-        &Schedule::Replay(trace.clone()),
-    );
-    assert_eq!(out, replayed);
-    assert_eq!(trace, replay_trace);
 }
 
 #[test]

@@ -193,10 +193,10 @@ fn queue_wakeups_stay_proportional_to_traffic() {
     // not wall-clock, so this cannot flake on a loaded CI runner.
     for threads in [2usize, 8] {
         let pool = Pool::new(threads);
-        let report = pool.run_report(512, |i| spin(i, 2_000), &np_parallel::Schedule::Free);
+        let report = pool.run_report(512, |i| spin(i, 2_000));
         assert_eq!(report.results.len(), 512, "{threads} threads");
         let q = report.queue;
-        let chunks = report.trace.steps.len() as u64;
+        let chunks = report.profile.len() as u64;
         assert_eq!(
             q.pushes, chunks,
             "{threads} threads: every chunk pushed once"
@@ -230,9 +230,9 @@ fn idle_wait_stays_bounded_by_useful_work() {
     // magnitude; legitimate contention on a saturated runner does not.
     for threads in [2usize, 8] {
         let pool = Pool::new(threads);
-        let report = pool.run_report(64, |i| spin(i, 200_000), &np_parallel::Schedule::Free);
+        let report = pool.run_report(64, |i| spin(i, 200_000));
         assert_eq!(report.results.len(), 64, "{threads} threads");
-        let busy: u64 = report.chunk_ns.iter().sum();
+        let busy: u64 = report.profile.iter().map(|p| p.end_ns - p.start_ns).sum();
         let idle: u64 = report.profile.iter().map(|p| p.wait_ns).sum();
         let bound = threads as u64 * busy + 50_000_000;
         assert!(
@@ -249,9 +249,9 @@ fn auto_granularity_amortises_cheap_items() {
     // items that must collapse the chunk count far below item count —
     // the per-chunk deposit/merge overhead the profile measured.
     let pool = Pool::new(4);
-    let report = pool.run_report(4096, |i| spin(i, 500), &np_parallel::Schedule::Free);
+    let report = pool.run_report(4096, |i| spin(i, 500));
     assert_eq!(report.results.len(), 4096);
-    let chunks = report.trace.steps.len();
+    let chunks = report.profile.len();
     assert!(
         chunks < 4096 / 4,
         "auto-granularity regressed: {chunks} chunks for 4096 cheap items"
@@ -260,34 +260,4 @@ fn auto_granularity_amortises_cheap_items() {
     for (i, v) in report.results.iter().enumerate() {
         assert_eq!(*v, spin(i, 500));
     }
-}
-
-#[test]
-fn replayed_campaign_schedule_reproduces_the_run() {
-    // Record a seeded campaign-shaped run, then replay its trace: both
-    // the output and the interleaving must reproduce exactly.
-    let cfg = machine();
-    let sim = MachineSim::new(cfg.clone());
-    let program = CacheMissKernel::row_major(32).build(&cfg);
-    let pool = Pool::new(4);
-    let (recorded, trace) = pool.run_traced(
-        8,
-        |rep| {
-            sim.run(&program, 100 + rep as u64)
-                .expect("valid program")
-                .cycles
-        },
-        &np_parallel::Schedule::Seeded(17),
-    );
-    let (replayed, replay_trace) = pool.run_traced(
-        8,
-        |rep| {
-            sim.run(&program, 100 + rep as u64)
-                .expect("valid program")
-                .cycles
-        },
-        &np_parallel::Schedule::Replay(trace.clone()),
-    );
-    assert_eq!(recorded, replayed);
-    assert_eq!(trace, replay_trace);
 }
