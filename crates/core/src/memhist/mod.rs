@@ -731,7 +731,7 @@ mod tests {
             io: StreamDeadlines::symmetric(Duration::from_secs(2)),
             ..probe::FetchPolicy::default()
         };
-        let remote = probe::RemoteMemhist::fetch_resilient(addr, &config, 1, &policy, None)
+        let remote = probe::RemoteMemhist::fetch_resilient(addr, &config, 1, &policy)
             .expect("delayed fetch succeeds");
         handle.join().unwrap().unwrap();
 

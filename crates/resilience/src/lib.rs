@@ -14,8 +14,6 @@
 //! * [`Deadline`] / [`StreamDeadlines`] — timeout wrappers for blocking
 //!   I/O, plus [`read_line_bounded`] so a frame read can never allocate
 //!   without bound.
-//! * [`CircuitBreaker`] — closed → open → half-open, with its state and
-//!   transition counts exported through np-telemetry gauges/counters.
 //! * [`FaultInjector`] — the seam tests and the simulator plug into. The
 //!   deterministic [`ScriptedFaults`] implementation injects
 //!   drop-connection, truncate-payload, delay, garbage-bytes and
@@ -39,12 +37,10 @@
 //! assert!(faults.next("probe.response").is_none());
 //! ```
 
-pub mod breaker;
 pub mod fault;
 pub mod io;
 pub mod retry;
 
-pub use breaker::{BreakerConfig, CircuitBreaker, CircuitState};
 pub use fault::{Fault, FaultInjector, NoFaults, ScriptedFaults};
 pub use io::{read_line_bounded, Deadline, StreamDeadlines};
 pub use retry::{Attempt, RetryError, RetryPolicy};

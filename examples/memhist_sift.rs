@@ -58,7 +58,7 @@ fn main() {
     let server = ProbeServer::new(MachineSim::new(machine.clone()), injector);
     let handle = std::thread::spawn(move || server.serve(&listener, 1));
     let (config, policy) = (MemhistConfig::default(), FetchPolicy::default());
-    let fetched = RemoteMemhist::fetch_resilient(addr, &config, 5, &policy, None).expect("fetch");
+    let fetched = RemoteMemhist::fetch_resilient(addr, &config, 5, &policy).expect("fetch");
     handle.join().unwrap().expect("probe served");
     println!(
         "  probe returned {} bins over TCP; total sampled loads: {}",

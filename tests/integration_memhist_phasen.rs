@@ -115,7 +115,7 @@ fn remote_probe_roundtrip_over_tcp() {
     let handle = std::thread::spawn(move || server.serve(&listener, 1));
 
     let remote =
-        RemoteMemhist::fetch_resilient(addr, &config, 11, &FetchPolicy::default(), None).unwrap();
+        RemoteMemhist::fetch_resilient(addr, &config, 11, &FetchPolicy::default()).unwrap();
     handle.join().unwrap().unwrap();
 
     let local = Memhist::new(config).measure(&MachineSim::new(machine), &program, 11);
