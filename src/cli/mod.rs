@@ -253,10 +253,6 @@ RETRY:       exponential backoff with deterministic, seedable jitter
 TIMEOUTS:    every probe connection pins read/write deadlines on the
              socket and bounds the request/response frame size, so a
              hostile or wedged peer cannot hang or OOM either side.
-BREAKER:     a circuit breaker (closed -> open -> half-open) stops
-             hammering a failing endpoint; its state is exported as the
-             `<name>.state` gauge (0 closed, 1 half-open, 2 open) with
-             `<name>.opens` / `<name>.rejected` counters.
 DEGRADATION: a chunked remote fetch that loses part of the threshold
              ladder past its retry budget returns a histogram assembled
              from the surviving thresholds, flagged `degraded`, with
@@ -540,14 +536,6 @@ DETERMINISM CONTRACT:
     it can never change a measured value. The pool itself is in the
     audit's no-wall-clock scope, so nothing in it can branch on
     timing.
-
-SCHEDULES (test harness):
-    Free         first-come scheduling (the default)
-    Seeded(n)    a seeded turnstile picks which worker gets each chunk;
-                 different seeds give different interleavings, always
-                 the same output
-    Replay(t)    re-run the exact interleaving recorded in trace t —
-                 a failing schedule is a reproducible artifact
 
 FAILURE SEMANTICS:
     A worker panic propagates to the caller (earliest item wins,
@@ -848,8 +836,6 @@ mod tests {
         for term in [
             "bit-identical",
             "submission order",
-            "Seeded",
-            "Replay",
             "baselines/bench-parallel.toml",
             "par.steal",
             "no-wall-clock",
