@@ -33,7 +33,7 @@
 
 use super::{MemhistConfig, MemhistResult};
 use np_resilience::{
-    read_line_bounded, Fault, FaultInjector, NoFaults, RetryError, RetryPolicy, StreamDeadlines,
+    read_line_bounded, Fault, FaultInjector, NoFaults, RetryPolicy, StreamDeadlines,
 };
 use np_simulator::{MachineSim, Program};
 use np_stats::histogram::LatencyHistogram;
@@ -328,9 +328,8 @@ impl RemoteMemhist {
                 slices_per_step: config.slices_per_step,
             };
             let outcome = policy.retry.run(
-                |attempt| {
-                    let io = tighten(policy.io, attempt.deadline);
-                    roundtrip(&addr, &req, io, policy.max_frame_bytes).and_then(|resp| {
+                |_| {
+                    roundtrip(&addr, &req, policy.io, policy.max_frame_bytes).and_then(|resp| {
                         if resp.thresholds == req.thresholds
                             && resp.counts.len() == req.thresholds.len()
                             && resp.coverage.len() == req.thresholds.len()
@@ -360,9 +359,6 @@ impl RemoteMemhist {
                 }
                 Err(e) => {
                     np_telemetry::counter!("probe.fetch.chunks_lost").inc();
-                    if let RetryError::DeadlineExceeded { .. } = &e {
-                        np_telemetry::counter!("probe.fetch.deadline_exceeded").inc();
-                    }
                     last_err = e.to_string();
                     lost.extend_from_slice(thresholds);
                 }
@@ -409,19 +405,6 @@ fn resolve(addr: impl ToSocketAddrs) -> std::io::Result<SocketAddr> {
             "address resolved to nothing",
         )
     })
-}
-
-/// Shrinks per-direction stream deadlines so they never outlive the
-/// attempt's own deadline.
-fn tighten(io: StreamDeadlines, deadline: Option<std::time::Instant>) -> StreamDeadlines {
-    let Some(d) = deadline else { return io };
-    let rem = d
-        .saturating_duration_since(std::time::Instant::now())
-        .max(Duration::from_millis(1));
-    StreamDeadlines {
-        read: Some(io.read.map_or(rem, |t| t.min(rem))),
-        write: Some(io.write.map_or(rem, |t| t.min(rem))),
-    }
 }
 
 /// One connect → request → response exchange under the given deadlines.

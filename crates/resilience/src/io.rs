@@ -1,4 +1,4 @@
-//! Deadlines and bounded reads for blocking I/O.
+//! Stream deadlines and bounded reads for blocking I/O.
 //!
 //! The suite's TCP paths are deliberately synchronous; their failure mode
 //! is therefore *hanging*, not erroring. [`StreamDeadlines`] turns a hang
@@ -7,44 +7,7 @@
 
 use std::io::{self, BufRead};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
-
-/// A point in time work must finish by, or unbounded.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    at: Option<Instant>,
-}
-
-impl Deadline {
-    /// A deadline `d` from now.
-    pub fn after(d: Duration) -> Self {
-        Deadline {
-            at: Some(Instant::now() + d),
-        }
-    }
-
-    /// No deadline.
-    pub fn none() -> Self {
-        Deadline { at: None }
-    }
-
-    /// Wraps an absolute instant (e.g. an [`Attempt`] deadline).
-    ///
-    /// [`Attempt`]: crate::retry::Attempt
-    pub fn at(instant: Option<Instant>) -> Self {
-        Deadline { at: instant }
-    }
-
-    /// Time remaining, if bounded; `Some(ZERO)` when already expired.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.at.map(|t| t.saturating_duration_since(Instant::now()))
-    }
-
-    /// Whether the deadline has passed.
-    pub fn expired(&self) -> bool {
-        self.remaining().is_some_and(|r| r.is_zero())
-    }
-}
+use std::time::Duration;
 
 /// Read/write timeouts to pin on a [`TcpStream`].
 #[derive(Debug, Clone, Copy)]
@@ -61,24 +24,6 @@ impl StreamDeadlines {
         StreamDeadlines {
             read: Some(d),
             write: Some(d),
-        }
-    }
-
-    /// No timeouts (the pre-resilience behaviour, for completeness).
-    pub fn unbounded() -> Self {
-        StreamDeadlines {
-            read: None,
-            write: None,
-        }
-    }
-
-    /// Derives timeouts from the time remaining on a [`Deadline`]: both
-    /// directions get the full remainder (an expired deadline becomes a
-    /// minimal 1 ms timeout — `set_read_timeout(ZERO)` is an error).
-    pub fn until(deadline: Deadline) -> Self {
-        match deadline.remaining() {
-            Some(rem) => Self::symmetric(rem.max(Duration::from_millis(1))),
-            None => Self::unbounded(),
         }
     }
 
@@ -166,25 +111,5 @@ mod tests {
         let mut r = BufReader::new(&[0xff, 0xfe, b'\n'][..]);
         let err = read_line_bounded(&mut r, 64).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn deadline_expiry() {
-        let d = Deadline::after(Duration::from_millis(1));
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(d.expired());
-        assert!(!Deadline::none().expired());
-        assert!(Deadline::none().remaining().is_none());
-    }
-
-    #[test]
-    fn deadlines_translate_to_stream_timeouts() {
-        let until = StreamDeadlines::until(Deadline::after(Duration::from_secs(1)));
-        assert!(until.read.unwrap() <= Duration::from_secs(1));
-        assert!(until.read.unwrap() > Duration::from_millis(500));
-        // Expired deadlines still produce a valid (minimal) timeout.
-        let expired = StreamDeadlines::until(Deadline::at(Some(Instant::now())));
-        assert!(expired.read.unwrap() >= Duration::from_millis(1));
-        assert!(StreamDeadlines::until(Deadline::none()).read.is_none());
     }
 }

@@ -8,11 +8,11 @@
 //! reads, reconnects, degraded-but-usable results):
 //!
 //! * [`RetryPolicy`] — exponential backoff with **deterministic, seedable
-//!   jitter**, max-attempts, per-attempt deadlines and an overall
-//!   deadline. Determinism matters here for the same reason it matters in
-//!   the simulator: a flaky-looking retry schedule cannot be debugged.
-//! * [`Deadline`] / [`StreamDeadlines`] — timeout wrappers for blocking
-//!   I/O, plus [`read_line_bounded`] so a frame read can never allocate
+//!   jitter** and max-attempts. Determinism matters here for the same
+//!   reason it matters in the simulator: a flaky-looking retry schedule
+//!   cannot be debugged.
+//! * [`StreamDeadlines`] — read/write timeouts pinned on every socket,
+//!   plus [`read_line_bounded`] so a frame read can never allocate
 //!   without bound.
 //! * [`FaultInjector`] — the seam tests and the simulator plug into. The
 //!   deterministic [`ScriptedFaults`] implementation injects
@@ -42,5 +42,5 @@ pub mod io;
 pub mod retry;
 
 pub use fault::{Fault, FaultInjector, NoFaults, ScriptedFaults};
-pub use io::{read_line_bounded, Deadline, StreamDeadlines};
-pub use retry::{Attempt, RetryError, RetryPolicy};
+pub use io::{read_line_bounded, StreamDeadlines};
+pub use retry::{RetryError, RetryPolicy};

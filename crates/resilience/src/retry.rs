@@ -1,6 +1,6 @@
 //! Retry with exponential backoff and deterministic, seedable jitter.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How to retry a transient failure.
 ///
@@ -24,15 +24,11 @@ pub struct RetryPolicy {
     pub jitter: f64,
     /// Seed of the deterministic jitter stream.
     pub seed: u64,
-    /// Budget for one attempt; exposed to the operation via [`Attempt`].
-    pub attempt_timeout: Option<Duration>,
-    /// Budget for the whole retry loop, sleeps included.
-    pub overall_deadline: Option<Duration>,
 }
 
 impl RetryPolicy {
     /// A policy with `max_attempts` tries, 10 ms base backoff doubling to
-    /// at most 500 ms, 30% jitter, and no deadlines.
+    /// at most 500 ms, and 30% jitter.
     pub fn new(max_attempts: u32) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
@@ -41,8 +37,6 @@ impl RetryPolicy {
             multiplier: 2.0,
             jitter: 0.3,
             seed: 0,
-            attempt_timeout: None,
-            overall_deadline: None,
         }
     }
 
@@ -68,18 +62,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the per-attempt budget.
-    pub fn with_attempt_timeout(mut self, d: Duration) -> Self {
-        self.attempt_timeout = Some(d);
-        self
-    }
-
-    /// Sets the overall budget.
-    pub fn with_overall_deadline(mut self, d: Duration) -> Self {
-        self.overall_deadline = Some(d);
-        self
-    }
-
     /// The backoff to sleep before attempt `attempt` (1-based; attempt 1
     /// never sleeps). Pure function of the policy — no clock, no RNG
     /// state, so schedules are reproducible and testable.
@@ -97,94 +79,35 @@ impl RetryPolicy {
     }
 
     /// Runs `op` under the policy, retrying failures `is_transient`
-    /// accepts. The operation receives an [`Attempt`] carrying its index
-    /// and per-attempt deadline so it can bound its own I/O.
+    /// accepts. The operation receives its 1-based attempt number.
     ///
-    /// Every retry increments the `resilience.retries` telemetry counter;
-    /// a sleep is skipped or truncated when it would cross the overall
-    /// deadline.
+    /// Every retry increments the `resilience.retries` telemetry counter.
     pub fn run<T, E>(
         &self,
-        mut op: impl FnMut(Attempt) -> Result<T, E>,
+        mut op: impl FnMut(u32) -> Result<T, E>,
         is_transient: impl Fn(&E) -> bool,
     ) -> Result<T, RetryError<E>> {
-        let started = Instant::now();
-        let overall = self.overall_deadline.map(|d| started + d);
-        let mut last = None;
         // `max_attempts` is clamped at construction, but it is also a pub
         // field: re-clamp so a hand-built policy with 0 still makes one
-        // attempt instead of hitting the empty-range path below.
+        // attempt.
         let max_attempts = self.max_attempts.max(1);
-        for attempt in 1..=max_attempts {
-            let pause = self.backoff(attempt);
-            if !pause.is_zero() {
-                let pause = match overall {
-                    Some(end) => pause.min(end.saturating_duration_since(Instant::now())),
-                    None => pause,
-                };
-                std::thread::sleep(pause);
-            }
-            if let Some(end) = overall {
-                if Instant::now() >= end {
-                    return Err(RetryError::DeadlineExceeded {
-                        attempts: attempt - 1,
-                        last,
-                    });
-                }
-            }
-            if attempt > 1 {
-                np_telemetry::counter!("resilience.retries").inc();
-            }
-            let deadline = match (self.attempt_timeout, overall) {
-                (Some(t), Some(end)) => Some((Instant::now() + t).min(end)),
-                (Some(t), None) => Some(Instant::now() + t),
-                (None, Some(end)) => Some(end),
-                (None, None) => None,
-            };
-            match op(Attempt {
-                index: attempt,
-                deadline,
-            }) {
+        let mut attempt = 1;
+        loop {
+            match op(attempt) {
                 Ok(v) => return Ok(v),
-                Err(e) if is_transient(&e) => {
-                    // Exhaustion is decided here, with the error in hand —
-                    // no after-the-loop unwrap of an Option that control
-                    // flow "guarantees" is Some.
-                    if attempt == max_attempts {
-                        return Err(RetryError::Exhausted {
-                            attempts: max_attempts,
-                            last: e,
-                        });
-                    }
-                    last = Some(e);
+                Err(e) if !is_transient(&e) => return Err(RetryError::Permanent(e)),
+                Err(last) if attempt == max_attempts => {
+                    return Err(RetryError::Exhausted {
+                        attempts: attempt,
+                        last,
+                    })
                 }
-                Err(e) => return Err(RetryError::Permanent(e)),
+                Err(_) => {}
             }
+            attempt += 1;
+            std::thread::sleep(self.backoff(attempt));
+            np_telemetry::counter!("resilience.retries").inc();
         }
-        // Unreachable (the loop always returns on its final attempt), but
-        // total: treat an impossible fall-through as deadline exhaustion.
-        Err(RetryError::DeadlineExceeded {
-            attempts: max_attempts,
-            last,
-        })
-    }
-}
-
-/// One try inside [`RetryPolicy::run`].
-#[derive(Debug, Clone, Copy)]
-pub struct Attempt {
-    /// 1-based attempt number.
-    pub index: u32,
-    /// When this attempt must be done (per-attempt timeout ∩ overall
-    /// deadline), if either is configured.
-    pub deadline: Option<Instant>,
-}
-
-impl Attempt {
-    /// Time left for this attempt, if bounded. `Some(ZERO)` means expired.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 }
 
@@ -198,13 +121,6 @@ pub enum RetryError<E> {
         /// The final transient error.
         last: E,
     },
-    /// The overall deadline expired before the attempts did.
-    DeadlineExceeded {
-        /// Attempts completed before the deadline hit.
-        attempts: u32,
-        /// The most recent transient error, if any attempt ran.
-        last: Option<E>,
-    },
     /// The operation failed with an error classified non-transient.
     Permanent(E),
 }
@@ -215,10 +131,6 @@ impl<E: std::fmt::Display> std::fmt::Display for RetryError<E> {
             RetryError::Exhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} attempts: {last}")
             }
-            RetryError::DeadlineExceeded { attempts, last } => match last {
-                Some(e) => write!(f, "deadline exceeded after {attempts} attempts: {e}"),
-                None => write!(f, "deadline exceeded before the first attempt"),
-            },
             RetryError::Permanent(e) => write!(f, "permanent failure: {e}"),
         }
     }
@@ -281,12 +193,12 @@ mod tests {
     fn run_retries_transient_until_success() {
         let calls = Cell::new(0u32);
         let out = RetryPolicy::immediate(5).run(
-            |a| {
+            |attempt| {
                 calls.set(calls.get() + 1);
-                if a.index < 3 {
+                if attempt < 3 {
                     Err("flaky")
                 } else {
-                    Ok(a.index)
+                    Ok(attempt)
                 }
             },
             |_| true,
@@ -324,37 +236,5 @@ mod tests {
         );
         assert_eq!(calls.get(), 1);
         assert!(matches!(out.unwrap_err(), RetryError::Permanent("fatal")));
-    }
-
-    #[test]
-    fn overall_deadline_bounds_the_loop() {
-        let p = RetryPolicy::new(100)
-            .with_base_delay(Duration::from_millis(20))
-            .with_overall_deadline(Duration::from_millis(60));
-        let started = Instant::now();
-        let out: Result<(), _> = p.run(|_| Err("flaky"), |_| true);
-        assert!(matches!(
-            out.unwrap_err(),
-            RetryError::DeadlineExceeded { .. }
-        ));
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "deadline ignored: {:?}",
-            started.elapsed()
-        );
-    }
-
-    #[test]
-    fn attempts_carry_their_deadline() {
-        let p = RetryPolicy::immediate(1).with_attempt_timeout(Duration::from_millis(100));
-        p.run::<_, ()>(
-            |a| {
-                let rem = a.remaining().expect("bounded attempt");
-                assert!(rem <= Duration::from_millis(100));
-                Ok(())
-            },
-            |_| true,
-        )
-        .unwrap();
     }
 }

@@ -238,7 +238,7 @@ impl ExchangeClient {
     pub fn exchange(&self, frame: &RequestFrame) -> Result<ResponseFrame, ClientError> {
         let result = self.retry.run(
             |attempt| {
-                if attempt.index > 1 {
+                if attempt > 1 {
                     np_telemetry::counter!("serve.client.retries").inc();
                 }
                 let mut session = self.connect()?;
@@ -251,10 +251,6 @@ impl ExchangeClient {
             RetryError::Exhausted { attempts, last } => {
                 ClientError::Io(format!("gave up after {attempts} attempts: {last}"))
             }
-            RetryError::DeadlineExceeded { attempts, last } => ClientError::Io(format!(
-                "deadline exceeded after {attempts} attempts: {}",
-                last.map(|e| e.to_string()).unwrap_or_default()
-            )),
         })
     }
 
