@@ -45,4 +45,4 @@ pub use evsel::{ComparisonReport, EvSel, ParameterSweep};
 pub use memhist::{Memhist, MemhistConfig, MemhistResult};
 pub use phasen::{PhaseDetector, PhaseReport, Phasenpruefer};
 pub use runner::{MeasurementPlan, Runner, SampledCampaign};
-pub use strategy::{CostModel, IndicatorExtrapolator, TwoStepStrategy};
+pub use strategy::{CostModel, IndicatorExtrapolator};

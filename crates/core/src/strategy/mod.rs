@@ -13,10 +13,10 @@
 //!   to the first step since hardware performance indicators relate to
 //!   costs much more directly".
 //!
-//! [`TwoStepStrategy`] composes both and supports the *transfer* use
-//! (Fig. 4b's "transfer" arrow): indicators extrapolated from machine A
-//! feed the cost model fitted on machine B, predicting B's cost for a
-//! workload size that was never run on B.
+//! Composed, the two steps support the *transfer* use (Fig. 4b's
+//! "transfer" arrow): indicators extrapolated from machine A feed the cost
+//! model fitted on machine B, predicting B's cost for a workload size that
+//! was never run on B.
 
 pub mod costmodel;
 pub mod extrapolate;
@@ -37,24 +37,6 @@ pub fn indicators_of(runs: &RunSet) -> IndicatorVector {
         .into_iter()
         .filter_map(|e| runs.mean(e).map(|m| (e, m)))
         .collect()
-}
-
-/// The composed two-step strategy.
-pub struct TwoStepStrategy {
-    /// Step 1: indicator extrapolation over the workload-size parameter.
-    pub extrapolator: IndicatorExtrapolator,
-    /// Step 2: indicator → cost model.
-    pub cost_model: CostModel,
-}
-
-impl TwoStepStrategy {
-    /// Predicts the cost (cycles) at workload size `size`: extrapolates
-    /// the indicators, then applies the cost model. Returns `None` when an
-    /// indicator required by the cost model cannot be extrapolated.
-    pub fn predict_cost(&self, size: f64) -> Option<f64> {
-        let indicators = self.extrapolator.predict(size)?;
-        self.cost_model.predict(&indicators)
-    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,4 @@
-//! Matrix decompositions: Householder QR and Cholesky.
-//!
-//! QR is the workhorse behind [`crate::solve::lstsq`]; Cholesky is provided
-//! for the normal-equations path that mirrors the paper's derivation
-//! (`β̂ = (XᵀX)⁻¹ Xᵀ y`, §IV-C-1) and for covariance factorisations in the
-//! statistics layer.
+//! Householder QR, the decomposition behind [`crate::solve::lstsq`].
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -108,35 +103,6 @@ pub fn qr(a: &Matrix) -> Result<Qr> {
     Ok(Qr { q, r: r_small })
 }
 
-/// Computes the lower-triangular Cholesky factor `L` with `A = L * Lᵀ`.
-///
-/// `a` must be square and symmetric positive definite; a non-positive pivot
-/// yields [`LinalgError::Singular`].
-pub fn cholesky(a: &Matrix) -> Result<Matrix> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { shape: a.shape() });
-    }
-    let n = a.rows();
-    let mut l = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a[(i, j)];
-            for k in 0..j {
-                sum -= l[(i, k)] * l[(j, k)];
-            }
-            if i == j {
-                if sum <= 0.0 {
-                    return Err(LinalgError::Singular { index: i });
-                }
-                l[(i, j)] = sum.sqrt();
-            } else {
-                l[(i, j)] = sum / l[(j, j)];
-            }
-        }
-    }
-    Ok(l)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +112,7 @@ mod tests {
         let diff = a.sub(b).unwrap();
         assert!(
             diff.max_abs() < tol,
-            "matrices differ by {} (tol {tol}):\n{a}\nvs\n{b}",
+            "matrices differ by {} (tol {tol}):\n{a:?}\nvs\n{b:?}",
             diff.max_abs()
         );
     }
@@ -202,30 +168,5 @@ mod tests {
             Ok(Qr { r, .. }) => assert!(r[(1, 1)].abs() < 1e-9),
             Err(other) => panic!("unexpected error {other}"),
         }
-    }
-
-    #[test]
-    fn cholesky_reconstructs_spd_matrix() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0, 0.6], &[2.0, 5.0, 1.0], &[0.6, 1.0, 3.0]]);
-        let l = cholesky(&a).unwrap();
-        assert_close(&l.matmul(&l.transpose()).unwrap(), &a, 1e-10);
-        // L is lower triangular.
-        assert_eq!(l[(0, 1)], 0.0);
-        assert_eq!(l[(0, 2)], 0.0);
-        assert_eq!(l[(1, 2)], 0.0);
-    }
-
-    #[test]
-    fn cholesky_rejects_non_square() {
-        assert!(matches!(
-            cholesky(&Matrix::zeros(2, 3)),
-            Err(LinalgError::NotSquare { shape: (2, 3) })
-        ));
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
-        assert!(matches!(cholesky(&a), Err(LinalgError::Singular { .. })));
     }
 }

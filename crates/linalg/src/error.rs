@@ -19,8 +19,8 @@ pub enum LinalgError {
         /// Actual shape as `(rows, cols)`.
         shape: (usize, usize),
     },
-    /// A decomposition failed because the matrix is (numerically) singular
-    /// or not positive definite.
+    /// A decomposition or triangular solve met a zero pivot: the matrix is
+    /// (numerically) singular.
     Singular {
         /// Diagonal/pivot index at which the breakdown was detected.
         index: usize,

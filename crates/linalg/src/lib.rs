@@ -7,9 +7,8 @@
 //! substitute: a compact, dependency-free dense linear algebra kernel that
 //! provides exactly what the statistical layer (`np-stats`) needs:
 //!
-//! * a row-major [`Matrix`] with the usual arithmetic,
-//! * Householder [`qr`](decompose::qr) and [`cholesky`](decompose::cholesky)
-//!   decompositions,
+//! * a row-major [`Matrix`] with the products least squares needs,
+//! * the Householder [`qr`](decompose::qr) decomposition,
 //! * a numerically well-behaved [least-squares solver](solve::lstsq) used for
 //!   every regression in the tool suite (EvSel parameter regressions,
 //!   Phasenprüfer segmented fits, indicator-to-cost models).
@@ -23,10 +22,10 @@ pub mod error;
 pub mod matrix;
 pub mod solve;
 
-pub use decompose::{cholesky, qr, Qr};
+pub use decompose::{qr, Qr};
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use solve::{lstsq, solve_lower_triangular, solve_upper_triangular, LstsqSolution};
+pub use solve::{lstsq, solve_upper_triangular, LstsqSolution};
 
 /// Convenience result alias for fallible linear algebra operations.
 pub type Result<T> = std::result::Result<T, LinalgError>;

@@ -2,7 +2,6 @@
 //! decomposition code.
 
 use crate::{LinalgError, Result};
-use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// A dense, row-major `f64` matrix.
@@ -97,21 +96,10 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
-    /// Borrow the underlying row-major storage.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Returns row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copies column `c` into a new vector.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
     /// Returns the transpose.
@@ -156,28 +144,25 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Element-wise sum `self + rhs`.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "add", |a, b| a + b)
-    }
-
     /// Element-wise difference `self - rhs`.
     pub fn sub(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "sub", |a, b| a - b)
-    }
-
-    /// Multiplies every element by `s`.
-    pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
+        if self.shape() != rhs.shape() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "sub",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        Ok(Matrix {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().map(|v| v * s).collect(),
-        }
-    }
-
-    /// Frobenius norm (square root of the sum of squared elements).
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
+            data: self
+                .data
+                .iter()
+                .zip(&rhs.data)
+                .map(|(a, b)| a - b)
+                .collect(),
+        })
     }
 
     /// Maximum absolute element value; zero for empty matrices.
@@ -203,31 +188,6 @@ impl Matrix {
         }
         Ok(self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).sum())
     }
-
-    fn zip_with(
-        &self,
-        rhs: &Matrix,
-        op: &'static str,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> Result<Matrix> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op,
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -248,21 +208,6 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if c > 0 {
-                    write!(f, " ")?;
-                }
-                write!(f, "{:>12.6}", self[(r, c)])?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,7 +216,7 @@ mod tests {
     fn zeros_and_identity() {
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.shape(), (2, 3));
-        assert!(z.as_slice().iter().all(|&v| v == 0.0));
+        assert_eq!(z, Matrix::from_vec(2, 3, vec![0.0; 6]).unwrap());
 
         let i = Matrix::identity(3);
         assert_eq!(i[(0, 0)], 1.0);
@@ -320,25 +265,21 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale() {
+    fn sub_is_elementwise() {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[3.0, 5.0]]);
-        assert_eq!(a.add(&b).unwrap(), Matrix::from_rows(&[&[4.0, 7.0]]));
         assert_eq!(b.sub(&a).unwrap(), Matrix::from_rows(&[&[2.0, 3.0]]));
-        assert_eq!(a.scale(2.0), Matrix::from_rows(&[&[2.0, 4.0]]));
     }
 
     #[test]
-    fn row_and_col_access() {
+    fn row_access() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.row(1), &[3.0, 4.0]);
-        assert_eq!(a.col(0), vec![1.0, 3.0]);
     }
 
     #[test]
-    fn norms() {
+    fn max_abs_norm() {
         let a = Matrix::from_rows(&[&[3.0, -4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
     }
 
@@ -349,13 +290,5 @@ mod tests {
         assert_eq!(a.dot(&b).unwrap(), 32.0);
         let c = Matrix::column(&[1.0]);
         assert!(a.dot(&c).is_err());
-    }
-
-    #[test]
-    fn display_renders_rows() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let s = format!("{a}");
-        assert!(s.contains("1.0"));
-        assert!(s.ends_with('\n'));
     }
 }

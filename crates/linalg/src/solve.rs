@@ -14,34 +14,6 @@ pub struct LstsqSolution {
     pub fitted: Matrix,
 }
 
-/// Solves `L x = b` for lower-triangular `L` by forward substitution.
-pub fn solve_lower_triangular(l: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if !l.is_square() {
-        return Err(LinalgError::NotSquare { shape: l.shape() });
-    }
-    if b.rows() != l.rows() || b.cols() != 1 {
-        return Err(LinalgError::ShapeMismatch {
-            op: "forward_sub",
-            lhs: l.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let n = l.rows();
-    let mut x = Matrix::zeros(n, 1);
-    for i in 0..n {
-        let mut sum = b[(i, 0)];
-        for j in 0..i {
-            sum -= l[(i, j)] * x[(j, 0)];
-        }
-        let d = l[(i, i)];
-        if d == 0.0 {
-            return Err(LinalgError::Singular { index: i });
-        }
-        x[(i, 0)] = sum / d;
-    }
-    Ok(x)
-}
-
 /// Solves `U x = b` for upper-triangular `U` by back substitution.
 pub fn solve_upper_triangular(u: &Matrix, b: &Matrix) -> Result<Matrix> {
     if !u.is_square() {
@@ -100,15 +72,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn forward_substitution() {
-        let l = Matrix::from_rows(&[&[2.0, 0.0], &[1.0, 3.0]]);
-        let b = Matrix::column(&[4.0, 10.0]);
-        let x = solve_lower_triangular(&l, &b).unwrap();
-        assert!((x[(0, 0)] - 2.0).abs() < 1e-12);
-        assert!((x[(1, 0)] - 8.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn back_substitution() {
         let u = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 4.0]]);
         let b = Matrix::column(&[5.0, 8.0]);
@@ -118,13 +81,8 @@ mod tests {
     }
 
     #[test]
-    fn triangular_solvers_reject_zero_diagonal() {
-        let l = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0]]);
+    fn back_substitution_rejects_zero_diagonal() {
         let b = Matrix::column(&[1.0, 1.0]);
-        assert!(matches!(
-            solve_lower_triangular(&l, &b),
-            Err(LinalgError::Singular { index: 0 })
-        ));
         let u = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 0.0]]);
         assert!(matches!(
             solve_upper_triangular(&u, &b),
@@ -157,7 +115,7 @@ mod tests {
         let resid = y.sub(&sol.fitted).unwrap();
         // Normal equations: Xᵀ r = 0 at the optimum.
         let xtr = x.transpose().matmul(&resid).unwrap();
-        assert!(xtr.max_abs() < 1e-9, "Xᵀr = {xtr}");
+        assert!(xtr.max_abs() < 1e-9, "Xᵀr = {xtr:?}");
         assert!((sol.rss - resid.dot(&resid).unwrap()).abs() < 1e-12);
     }
 
@@ -166,12 +124,14 @@ mod tests {
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[1.0, 3.0], &[1.0, 5.0], &[1.0, 7.0]]);
         let y = Matrix::column(&[1.1, 2.0, 3.9, 6.2]);
         let sol = lstsq(&x, &y).unwrap();
-        // β̂ = (XᵀX)⁻¹ Xᵀ y via Cholesky on the 2x2 normal matrix.
+        // β̂ = (XᵀX)⁻¹ Xᵀ y with the closed-form inverse of the 2x2 normal
+        // matrix [[a, b], [b, d]]: (1 / (ad - b²)) [[d, -b], [-b, a]].
         let xtx = x.transpose().matmul(&x).unwrap();
         let xty = x.transpose().matmul(&y).unwrap();
-        let l = crate::cholesky(&xtx).unwrap();
-        let z = solve_lower_triangular(&l, &xty).unwrap();
-        let beta = solve_upper_triangular(&l.transpose(), &z).unwrap();
+        let (a, b, d) = (xtx[(0, 0)], xtx[(0, 1)], xtx[(1, 1)]);
+        let det = a * d - b * b;
+        let inverse = Matrix::from_rows(&[&[d / det, -b / det], &[-b / det, a / det]]);
+        let beta = inverse.matmul(&xty).unwrap();
         assert!((sol.beta.sub(&beta).unwrap()).max_abs() < 1e-9);
     }
 

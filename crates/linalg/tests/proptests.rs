@@ -1,7 +1,7 @@
 //! Property-based tests for np-linalg: algebraic identities that must hold
 //! for arbitrary well-conditioned inputs.
 
-use np_linalg::{cholesky, lstsq, qr, Matrix};
+use np_linalg::{lstsq, qr, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a matrix of the given shape with entries in [-10, 10].
@@ -10,25 +10,10 @@ fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data).unwrap())
 }
 
-/// Strategy: a symmetric positive-definite matrix built as AᵀA + εI.
-fn spd(n: usize) -> impl Strategy<Value = Matrix> {
-    matrix(n, n).prop_map(move |a| {
-        let ata = a.transpose().matmul(&a).unwrap();
-        ata.add(&Matrix::identity(n).scale(0.5)).unwrap()
-    })
-}
-
 proptest! {
     #[test]
     fn transpose_is_involution(m in matrix(4, 3)) {
         prop_assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn matmul_distributes_over_add(a in matrix(3, 4), b in matrix(4, 2), c in matrix(4, 2)) {
-        let lhs = a.matmul(&b.add(&c).unwrap()).unwrap();
-        let rhs = a.matmul(&b).unwrap().add(&a.matmul(&c).unwrap()).unwrap();
-        prop_assert!(lhs.sub(&rhs).unwrap().max_abs() < 1e-9);
     }
 
     #[test]
@@ -58,13 +43,6 @@ proptest! {
     }
 
     #[test]
-    fn cholesky_reconstructs(a in spd(4)) {
-        let l = cholesky(&a).unwrap();
-        let recon = l.matmul(&l.transpose()).unwrap();
-        prop_assert!(recon.sub(&a).unwrap().max_abs() < 1e-8);
-    }
-
-    #[test]
     fn lstsq_residual_orthogonal_to_design(x in matrix(8, 3), y in matrix(8, 1)) {
         if let Ok(sol) = lstsq(&x, &y) {
             let resid = y.sub(&sol.fitted).unwrap();
@@ -86,11 +64,5 @@ proptest! {
             let rss_p = r.dot(&r).unwrap();
             prop_assert!(rss_p + 1e-9 >= sol.rss);
         }
-    }
-
-    #[test]
-    fn frobenius_norm_triangle_inequality(a in matrix(3, 3), b in matrix(3, 3)) {
-        let sum = a.add(&b).unwrap();
-        prop_assert!(sum.frobenius_norm() <= a.frobenius_norm() + b.frobenius_norm() + 1e-9);
     }
 }

@@ -4,9 +4,8 @@
 //! costs, the sheer amount of parameters might reveal some seemingly
 //! well-fitting correlations … known as the multiple comparisons problem"
 //! and points at Bonferroni correction as the remedy. EvSel tests hundreds
-//! of events per comparison, so this module provides Pearson correlation, a
-//! correlation matrix over many series, and the Bonferroni-adjusted
-//! significance threshold.
+//! of events per comparison, so this module provides Pearson correlation
+//! and the Bonferroni-adjusted significance threshold.
 
 use crate::descriptive::mean;
 
@@ -45,102 +44,6 @@ pub fn bonferroni_threshold(alpha: f64, m: usize) -> f64 {
         alpha
     } else {
         alpha / m as f64
-    }
-}
-
-/// A symmetric correlation matrix over a set of named series.
-///
-/// EvSel's event table colour-codes correlations "for a quick overview";
-/// this type is the data behind such a view.
-#[derive(Debug, Clone)]
-pub struct CorrelationMatrix {
-    /// Names of the series, in matrix order.
-    pub names: Vec<String>,
-    /// Row-major `names.len()²` matrix of Pearson r values (`NaN` where
-    /// undefined).
-    pub values: Vec<f64>,
-}
-
-impl CorrelationMatrix {
-    /// Builds the matrix from `(name, series)` pairs. Series of differing
-    /// lengths correlate as `NaN`.
-    pub fn from_series(series: &[(String, Vec<f64>)]) -> CorrelationMatrix {
-        let n = series.len();
-        let mut values = vec![f64::NAN; n * n];
-        for i in 0..n {
-            for j in i..n {
-                let r = if i == j {
-                    1.0
-                } else {
-                    pearson_r(&series[i].1, &series[j].1).unwrap_or(f64::NAN)
-                };
-                values[i * n + j] = r;
-                values[j * n + i] = r;
-            }
-        }
-        CorrelationMatrix {
-            names: series.iter().map(|(n, _)| n.clone()).collect(),
-            values,
-        }
-    }
-
-    /// [`CorrelationMatrix::from_series`] with rows fanned across `pool`.
-    ///
-    /// Row `i` computes its upper-triangle entries `r(i, j)` for `j >= i`;
-    /// the symmetric fill happens after the merge, in the same row order
-    /// as the serial loop. Each Pearson r is a pure fold over two slices,
-    /// so the matrix is bit-identical to the serial one at any thread
-    /// count — the all-counters sweep calls this with hundreds of rows.
-    pub fn from_series_pool(
-        series: &[(String, Vec<f64>)],
-        pool: &np_parallel::Pool,
-    ) -> CorrelationMatrix {
-        let n = series.len();
-        let rows = pool.run(n, |i| {
-            (i..n)
-                .map(|j| {
-                    if i == j {
-                        1.0
-                    } else {
-                        pearson_r(&series[i].1, &series[j].1).unwrap_or(f64::NAN)
-                    }
-                })
-                .collect::<Vec<f64>>()
-        });
-        let mut values = vec![f64::NAN; n * n];
-        for (i, row) in rows.into_iter().enumerate() {
-            for (off, r) in row.into_iter().enumerate() {
-                let j = i + off;
-                values[i * n + j] = r;
-                values[j * n + i] = r;
-            }
-        }
-        CorrelationMatrix {
-            names: series.iter().map(|(n, _)| n.clone()).collect(),
-            values,
-        }
-    }
-
-    /// Correlation between series `i` and `j`.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.values[i * self.names.len() + j]
-    }
-
-    /// All pairs `(i, j)` with `i < j` whose |r| meets `threshold`,
-    /// strongest first.
-    pub fn strong_pairs(&self, threshold: f64) -> Vec<(usize, usize, f64)> {
-        let n = self.names.len();
-        let mut out = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let r = self.get(i, j);
-                if r.is_finite() && r.abs() >= threshold {
-                    out.push((i, j, r));
-                }
-            }
-        }
-        out.sort_by(|a, b| b.2.abs().partial_cmp(&a.2.abs()).unwrap());
-        out
     }
 }
 
@@ -187,73 +90,5 @@ mod tests {
         assert_eq!(bonferroni_threshold(0.05, 1), 0.05);
         assert_eq!(bonferroni_threshold(0.05, 0), 0.05);
         assert!((bonferroni_threshold(0.05, 100) - 0.0005).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_matrix_symmetry_and_diagonal() {
-        let series = vec![
-            ("a".to_string(), vec![1.0, 2.0, 3.0, 4.0]),
-            ("b".to_string(), vec![2.0, 4.0, 6.0, 8.0]),
-            ("c".to_string(), vec![4.0, 3.0, 2.0, 1.0]),
-        ];
-        let m = CorrelationMatrix::from_series(&series);
-        for i in 0..3 {
-            assert_eq!(m.get(i, i), 1.0);
-            for j in 0..3 {
-                assert_eq!(m.get(i, j), m.get(j, i));
-            }
-        }
-        assert!((m.get(0, 1) - 1.0).abs() < 1e-12);
-        assert!((m.get(0, 2) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pooled_matrix_is_bit_identical_to_serial() {
-        // A non-trivial batch of deterministic pseudo-series.
-        let series: Vec<(String, Vec<f64>)> = (0..12)
-            .map(|s| {
-                let vals: Vec<f64> = (0..16)
-                    .map(|i| ((s * 31 + i * 17) % 23) as f64 - (s % 5) as f64 * 0.7)
-                    .collect();
-                (format!("s{s}"), vals)
-            })
-            .collect();
-        let serial = CorrelationMatrix::from_series(&series);
-        for threads in [1, 2, 8] {
-            let pool = np_parallel::Pool::new(threads);
-            let pooled = CorrelationMatrix::from_series_pool(&series, &pool);
-            assert_eq!(pooled.names, serial.names, "{threads} threads");
-            assert_eq!(pooled.values.len(), serial.values.len());
-            for (a, b) in pooled.values.iter().zip(&serial.values) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn strong_pairs_sorted_by_strength() {
-        let series = vec![
-            ("a".to_string(), vec![1.0, 2.0, 3.0, 4.0, 5.0]),
-            ("b".to_string(), vec![1.1, 2.2, 2.9, 4.2, 5.1]), // strongly +
-            ("c".to_string(), vec![3.0, 1.0, 4.0, 1.0, 5.0]), // weak
-        ];
-        let m = CorrelationMatrix::from_series(&series);
-        let pairs = m.strong_pairs(0.9);
-        assert!(!pairs.is_empty());
-        assert_eq!((pairs[0].0, pairs[0].1), (0, 1));
-        for w in pairs.windows(2) {
-            assert!(w[0].2.abs() >= w[1].2.abs());
-        }
-    }
-
-    #[test]
-    fn mismatched_series_produce_nan_not_panic() {
-        let series = vec![
-            ("a".to_string(), vec![1.0, 2.0, 3.0]),
-            ("b".to_string(), vec![1.0, 2.0]),
-        ];
-        let m = CorrelationMatrix::from_series(&series);
-        assert!(m.get(0, 1).is_nan());
-        assert!(m.strong_pairs(0.5).is_empty());
     }
 }

@@ -50,44 +50,6 @@ pub fn sample_skewness(xs: &[f64]) -> f64 {
     ((nf * (nf - 1.0)).sqrt() / (nf - 2.0)) * g1
 }
 
-/// A compact five-number-style summary of a measurement sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Bessel-corrected standard deviation (`NaN` when `n < 2`).
-    pub std: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarises a sample. `NaN` fields result from empty/singleton input.
-    pub fn of(xs: &[f64]) -> Summary {
-        Summary {
-            n: xs.len(),
-            mean: mean(xs),
-            std: sample_std(xs),
-            min: xs.iter().copied().fold(f64::INFINITY, f64::min),
-            max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        }
-    }
-
-    /// Coefficient of variation (std / mean); `NaN` when the mean is zero
-    /// or statistics are undefined.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::NAN
-        } else {
-            self.std / self.mean
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,23 +78,6 @@ mod tests {
     fn std_is_sqrt_of_variance() {
         let xs = [1.0, 3.0, 5.0];
         assert!((sample_std(&xs) - sample_variance(&xs).sqrt()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn summary_fields() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.n, 3);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert!((s.std - 1.0).abs() < 1e-12);
-        assert!((s.cv() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_cv_undefined_for_zero_mean() {
-        let s = Summary::of(&[-1.0, 1.0]);
-        assert!(s.cv().is_nan());
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub mod regression;
 pub mod segmented;
 pub mod ttest;
 
-pub use correlate::{bonferroni_threshold, pearson_r, CorrelationMatrix};
-pub use descriptive::{mean, sample_skewness, sample_std, sample_variance, Summary};
+pub use correlate::{bonferroni_threshold, pearson_r};
+pub use descriptive::{mean, sample_skewness, sample_std, sample_variance};
 pub use histogram::{IntervalCount, LatencyHistogram};
 pub use regression::{best_fit, RegressionFit, RegressionKind};
 pub use segmented::{segmented_fit, segmented_fit_k, SegmentedFit};

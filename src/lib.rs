@@ -27,7 +27,6 @@ pub mod cli;
 
 pub use np_core as core;
 pub use np_counters as counters;
-pub use np_linalg as linalg;
 pub use np_models as models;
 pub use np_simulator as simulator;
 pub use np_stats as stats;
@@ -39,7 +38,7 @@ pub mod prelude {
     pub use np_core::memhist::{HistogramMode, Memhist, MemhistConfig, MemhistResult};
     pub use np_core::phasen::{PhaseDetector, Phasenpruefer};
     pub use np_core::runner::{MeasurementPlan, Runner};
-    pub use np_core::strategy::{indicators_of, CostModel, IndicatorExtrapolator, TwoStepStrategy};
+    pub use np_core::strategy::{indicators_of, CostModel, IndicatorExtrapolator};
     pub use np_counters::catalog::{EventCatalog, EventId};
     pub use np_counters::measurement::{Measurement, RunSet};
     pub use np_simulator::config::MachineConfig;
