@@ -139,7 +139,7 @@ impl BenchReport {
                 }
             }
         }
-        format!("{:016x}", fnv1a64(s.as_bytes()))
+        digest_str(&s)
     }
 
     /// True when every cell's audit held.
@@ -148,19 +148,9 @@ impl BenchReport {
     }
 }
 
-/// FNV-1a over bytes — the digest primitive for cell results.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Hex digest of a deterministic result string.
+/// Hex FNV-1a digest of a deterministic result string.
 pub fn digest_str(s: &str) -> String {
-    format!("{:016x}", fnv1a64(s.as_bytes()))
+    format!("{:016x}", np_serve::proto::fnv1a64(s.as_bytes()))
 }
 
 #[cfg(test)]
