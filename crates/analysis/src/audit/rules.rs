@@ -46,7 +46,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "guarded-telemetry",
-        "Telemetry or time-series sampling call outside crates/telemetry without an enabled() guard in the enclosing fn.",
+        "np_telemetry::global() call outside crates/telemetry without an enabled() guard in the enclosing fn.",
     ),
     (
         "no-wall-clock",
@@ -821,15 +821,10 @@ pub fn line_rules(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
                 );
             }
 
-            // Hot-path telemetry: both the metrics facade and the
-            // time-series sampler must be skipped when observation is
-            // off. The guard may sit on the line or on any line back to
-            // the nearest `fn` header; the sampler's gate is
-            // `sampling_enabled(`, which satisfies the same check.
-            let hot_telemetry = code.contains("np_telemetry::global()")
-                || code.contains("np_telemetry::sample")
-                || code.contains("timeseries::sample");
-            if !in_telemetry && hot_telemetry {
+            // Hot-path telemetry: the metrics facade must be skipped when
+            // observation is off. The guard may sit on the line or on any
+            // line back to the nearest `fn` header.
+            if !in_telemetry && code.contains("np_telemetry::global()") {
                 let guarded = code.contains("enabled(")
                     || code_lines[..idx]
                         .iter()
@@ -840,8 +835,8 @@ pub fn line_rules(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
                     report(
                         idx,
                         "guarded-telemetry",
-                        "telemetry or time-series sampling without an enabled() guard in the \
-                         enclosing fn; hot paths must skip disabled observation",
+                        "telemetry without an enabled() guard in the enclosing fn; hot paths \
+                         must skip disabled observation",
                     );
                 }
             }

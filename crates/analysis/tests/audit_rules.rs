@@ -603,18 +603,6 @@ fn line_rule_scopes_are_pinned() {
         "    np_telemetry::global().counter(\"x\").add(1);\n",
         "}\n",
     );
-    const SAMPLE_BAD: &str = concat!(
-        "fn record(now: u64) {\n",
-        "    np_telemetry::timeseries::sample(\"acq.reps\", now, 1);\n",
-        "}\n",
-    );
-    const SAMPLE_GOOD: &str = concat!(
-        "fn record(now: u64) {\n",
-        "    if np_telemetry::sampling_enabled() {\n",
-        "        np_telemetry::sample_cumulative(\"x\", now, 1);\n",
-        "    }\n",
-        "}\n",
-    );
     const UNGUARDED_SNAPSHOT: &str = "fn f() { np_telemetry::global().snapshot(); }\n";
     const INSTANT: &str = "fn f() { let _t = std::time::Instant::now(); }\n";
     const SYSTEM_TIME: &str = "fn f() { let _t = std::time::SystemTime::now(); }\n";
@@ -668,8 +656,8 @@ fn line_rule_scopes_are_pinned() {
             RELAXED_STATIC,
             Some((ATOMICS, 1)),
         ),
-        // Telemetry and sampling need an enabled() guard outside the
-        // telemetry crate (the bench harness included).
+        // Telemetry needs an enabled() guard outside the telemetry crate
+        // (the bench harness included).
         ("crates/core/src/runner.rs", TELEMETRY_BAD, Some((GUARD, 2))),
         ("crates/core/src/runner.rs", TELEMETRY_GOOD, None),
         ("crates/telemetry/src/snapshot.rs", TELEMETRY_BAD, None),
@@ -680,17 +668,10 @@ fn line_rule_scopes_are_pinned() {
             Some((GUARD, 5)),
         ),
         (
-            "crates/counters/src/acquisition.rs",
-            SAMPLE_BAD,
-            Some((GUARD, 2)),
-        ),
-        ("crates/counters/src/acquisition.rs", SAMPLE_GOOD, None),
-        (
             "crates/bench/src/harness/runner.rs",
-            SAMPLE_BAD,
+            TELEMETRY_BAD,
             Some((GUARD, 2)),
         ),
-        ("crates/telemetry/src/timeseries.rs", SAMPLE_BAD, None),
         (
             "crates/patterns/src/verify.rs",
             UNGUARDED_SNAPSHOT,

@@ -248,8 +248,8 @@ and the cycling PEBS rotation are wired through it, and the exchange
 server reuses its deadlines and fault injection.
 
 RETRY:       exponential backoff with deterministic, seedable jitter
-             (a schedule is a pure function of its seed), a max-attempt
-             cap, and per-attempt + overall deadlines.
+             (a schedule is a pure function of its seed) and a
+             max-attempt cap.
 TIMEOUTS:    every probe connection pins read/write deadlines on the
              socket and bounds the request/response frame size, so a
              hostile or wedged peer cannot hang or OOM either side.
@@ -273,8 +273,7 @@ FAULT INJECTION (tests and drills):
 TELEMETRY (with --telemetry FILE):
     resilience.retries        sleeps taken between retry attempts
     faults.injected           scripted faults consumed
-    probe.fetch.*             chunks, chunks_lost, degraded fetches,
-                              deadline_exceeded
+    probe.fetch.*             chunks, chunks_lost, degraded fetches
     probe.faults.*            server-side injected fault outcomes
     session.quarantined       corrupt archives quarantined
 
@@ -375,10 +374,9 @@ RULES:
                          through np_resilience::io::read_line_bounded
                          so a slow or hostile peer cannot wedge the
                          client
-    guarded-telemetry    np_telemetry::global() and time-series sampling
-                         (sample / sample_cumulative) outside
-                         crates/telemetry must sit under an enabled() /
-                         sampling_enabled() check in the enclosing fn
+    guarded-telemetry    np_telemetry::global() outside crates/telemetry
+                         must sit under an enabled() check in the
+                         enclosing fn
     no-wall-clock        Instant::now()/SystemTime::now() are forbidden
                          in the simulator, the fault plan, the worker
                          pool (crates/parallel/src), the time-series
