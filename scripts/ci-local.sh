@@ -30,6 +30,12 @@ for arg in "$@"; do
   esac
 done
 
+# Every artifact this script writes lands here, replacing the last run's.
+out=target/ci-local
+rm -rf "$out"
+mkdir -p "$out"
+echo "ci-local: artifacts in $out"
+
 scripts/verify.sh
 
 echo "== determinism matrix under varied harness threads =="
@@ -38,12 +44,10 @@ cargo test -q --offline --test integration_parallel -- --test-threads 8
 cargo test -q --offline -p np-parallel -- --test-threads 1
 
 echo "== np audit --sarif (CI annotation artifact) =="
-audit_sarif="$(mktemp -t np-audit.XXXXXX.sarif)"
-cargo run --release --offline --quiet -- audit --sarif "$audit_sarif"
-echo "audit SARIF written to $audit_sarif"
+cargo run --release --offline --quiet -- audit --sarif "$out/audit.sarif"
 
 echo "== bench regression gate (np bench diff vs baselines/ci.json) =="
-bench_current="$(mktemp -t np-bench-current.XXXXXX.json)"
+bench_current="$out/bench-current.json"
 cargo run --release --offline --quiet -- bench --smoke --out "$bench_current" >/dev/null
 cargo run --release --offline --quiet -- bench diff baselines/ci.json \
   --current "$bench_current" --noise 75
@@ -53,7 +57,7 @@ echo "== multi-core speedup gate (np bench diff + speedup) =="
 # half against the committed baseline on any machine; the speedup gate
 # judges measured wall time within this run's own report and prints
 # SKIP (still passing) on hosts without at least 2 hardware threads.
-bench_multicore="$(mktemp -t np-bench-multicore.XXXXXX.json)"
+bench_multicore="$out/bench-multicore.json"
 cargo run --release --offline --quiet -- bench --smoke \
   --config baselines/ci-multicore.toml --out "$bench_multicore" >/dev/null
 cargo run --release --offline --quiet -- bench diff baselines/ci-multicore.json \
@@ -83,38 +87,30 @@ if [[ "$quick" -eq 0 ]]; then
   cargo test --release --offline -p np-bench --test sampler_overhead
 
   echo "== nightly: telemetry snapshot =="
-  snapshot="$(mktemp -t np-telemetry-snapshot.XXXXXX.json)"
   cargo run --release --offline --quiet -- stat \
     --workload row-major --size 48 --reps 3 --machine two-socket \
-    --telemetry "$snapshot" >/dev/null
-  echo "telemetry snapshot written to $snapshot"
+    --telemetry "$out/telemetry-snapshot.json" >/dev/null
 
   echo "== nightly: exchange load smoke (np loadgen --smoke) =="
-  bench="$(mktemp -t np-bench-serve.XXXXXX.json)"
   cargo run --release --offline --quiet -- loadgen \
-    --clients 8 --frames 16 --seed 1 --smoke --out "$bench"
-  echo "exchange benchmark written to $bench"
+    --clients 8 --frames 16 --seed 1 --smoke --out "$out/bench-serve.json"
 
   echo "== nightly: worker-pool smoke (np bench --config baselines/bench-parallel.toml) =="
-  pbench="$(mktemp -t np-bench-pool.XXXXXX.json)"
   cargo run --release --offline --quiet -- bench --smoke \
-    --config baselines/bench-parallel.toml --out "$pbench"
-  echo "worker-pool benchmark written to $pbench"
+    --config baselines/bench-parallel.toml --out "$out/bench-pool.json"
 
   echo "== nightly: sampled campaign + HTML report (np run / np report) =="
-  capture="$(mktemp -t np-capture.XXXXXX.json)"
-  timeline="$(mktemp -t np-timeline.XXXXXX.json)"
-  html="$(mktemp -t np-report.XXXXXX.html)"
+  capture="$out/capture.json"
+  timeline="$out/timeline.json"
   cargo run --release --offline --quiet -- run --sample \
     --workload row-major --size 256 --reps 3 --seed 1 \
     --machine two-socket --out "$capture" --timeline "$timeline" >/dev/null
   cargo run --release --offline --quiet -- report \
-    --capture "$capture" --timeline "$timeline" --html --out "$html" >/dev/null
-  echo "capture written to $capture; HTML report written to $html"
+    --capture "$capture" --timeline "$timeline" --html --out "$out/report.html" >/dev/null
 
   echo "== nightly: full-registry pattern sweep artifact (np patterns) =="
-  patterns_nightly="$(mktemp -t np-patterns-nightly.XXXXXX.json)"
-  patterns_serial="$(mktemp -t np-patterns-serial.XXXXXX.json)"
+  patterns_nightly="$out/patterns-nightly.json"
+  patterns_serial="$out/patterns-serial.json"
   cargo run --release --offline --quiet -- patterns --verify --threads 8 \
     --out "$patterns_nightly"
   cargo run --release --offline --quiet -- patterns --verify --threads 1 \
@@ -122,13 +118,10 @@ if [[ "$quick" -eq 0 ]]; then
   # The document is deterministic at any pool width: the wide run must
   # be byte-identical to the serial one.
   diff -u "$patterns_serial" "$patterns_nightly"
-  echo "pattern sweep document written to $patterns_nightly"
 
   echo "== nightly: benchmark trend (np bench trend --append) =="
-  history="$(mktemp -t np-bench-history.XXXXXX.jsonl)"
   cargo run --release --offline --quiet -- bench trend \
-    --append "$history" --current "$bench_current"
-  echo "benchmark history written to $history"
+    --append "$out/bench-history.jsonl" --current "$bench_current"
 fi
 
 if [[ "$sanitizers" -eq 1 ]]; then
