@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! blanking lexer -> per-file fn index -> approximate call graph
-//!   -> nine rules -> inline allows -> baseline suppressions -> JSON/SARIF
+//!   -> nine rules -> inline allows -> JSON/SARIF
 //! ```
 //!
 //! - [`index`] — per-file `fn` items (spans, calls, `audit:hot` marks).
@@ -15,23 +15,19 @@
 //!   orderings, hot-path hygiene, unsafe inventory, panic reachability,
 //!   and the line-local rules: bounded socket reads, guarded telemetry,
 //!   no wall clocks in deterministic code.
-//! - [`baseline`] — the committed suppression file gating only *new*
-//!   findings; stale entries surface as warnings.
 //! - [`sarif`] — SARIF 2.1.0 output for CI annotation.
 //!
 //! Everything is deterministic: files scan in sorted order, every map is
 //! a `BTreeMap`, and two runs over the same tree produce byte-identical
-//! JSON (pinned by a test). Findings can be waived inline with
-//! `// audit:allow(<rule>)` on the offending line, or centrally in
-//! `audit-baseline.json` with a reason.
+//! JSON (pinned by a test). The one way to waive a finding is
+//! `// audit:allow(<rule>)` on the offending line; every other finding
+//! fails the gate.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod index;
 pub mod rules;
 pub mod sarif;
 
-pub use baseline::{Baseline, Suppression, BASELINE_VERSION};
 pub use callgraph::CallGraph;
 pub use index::WorkspaceIndex;
 pub use rules::UnsafeSite;
@@ -52,15 +48,12 @@ pub struct AuditFinding {
     pub line: usize,
     /// Human-readable explanation with the evidence inline.
     pub message: String,
-    /// Whether a baseline entry suppresses this finding.
-    pub suppressed: bool,
 }
 
 /// The full audit result.
 #[derive(Debug, Clone, Default)]
 pub struct AuditReport {
-    /// All findings, sorted by `(path, line, rule, message)`; suppressed
-    /// ones stay in the list (they appear in SARIF with a suppression).
+    /// All findings, sorted by `(path, line, rule, message)`.
     pub findings: Vec<AuditFinding>,
     /// Files scanned.
     pub files_scanned: usize,
@@ -68,26 +61,14 @@ pub struct AuditReport {
     pub fns_indexed: usize,
     /// Call-graph edges resolved.
     pub call_edges: usize,
-    /// Baseline entries that matched nothing (warnings, not failures).
-    pub stale_suppressions: Vec<String>,
     /// Every `unsafe` site, justified or not (the committed inventory).
     pub unsafe_sites: Vec<UnsafeSite>,
 }
 
 impl AuditReport {
-    /// Findings the gate counts (not suppressed).
-    pub fn unsuppressed(&self) -> impl Iterator<Item = &AuditFinding> {
-        self.findings.iter().filter(|f| !f.suppressed)
-    }
-
-    /// Number of gating findings.
-    pub fn unsuppressed_count(&self) -> usize {
-        self.unsuppressed().count()
-    }
-
-    /// Whether the gate passes (stale suppressions only warn).
+    /// Whether the gate passes: no finding survived the inline allows.
     pub fn is_clean(&self) -> bool {
-        self.unsuppressed_count() == 0
+        self.findings.is_empty()
     }
 
     /// Human-readable report.
@@ -99,15 +80,7 @@ impl AuditReport {
             self.files_scanned, self.fns_indexed, self.call_edges
         );
         for f in &self.findings {
-            let mark = if f.suppressed { " (baseline)" } else { "" };
-            let _ = writeln!(
-                out,
-                "  [{}] {}:{} {}{mark}",
-                f.rule, f.path, f.line, f.message
-            );
-        }
-        for s in &self.stale_suppressions {
-            let _ = writeln!(out, "  warning: {s}");
+            let _ = writeln!(out, "  [{}] {}:{} {}", f.rule, f.path, f.line, f.message);
         }
         let unsafe_unjustified = self
             .unsafe_sites
@@ -120,27 +93,22 @@ impl AuditReport {
             self.unsafe_sites.len(),
             unsafe_unjustified
         );
-        let n = self.unsuppressed_count();
-        if n == 0 {
-            let _ = writeln!(out, "audit clean ({} suppressed)", self.findings.len() - n);
+        if self.is_clean() {
+            out.push_str("audit clean\n");
         } else {
-            let _ = writeln!(out, "audit FAILED: {n} unsuppressed finding(s)");
+            let _ = writeln!(out, "audit FAILED: {} finding(s)", self.findings.len());
         }
         out
     }
 
-    /// Deterministic JSON (schema `np-audit/1`).
+    /// Deterministic JSON (schema `np-audit/2`).
     pub fn to_json(&self) -> String {
-        let suppressed = self.findings.len() - self.unsuppressed_count();
         let mut out = String::with_capacity(4096);
         let _ = write!(
             out,
-            "{{\"version\":\"np-audit/1\",\"files_scanned\":{},\"fns_indexed\":{},\
-             \"call_edges\":{},\"unsuppressed\":{},\"suppressed\":{suppressed},\"findings\":[",
-            self.files_scanned,
-            self.fns_indexed,
-            self.call_edges,
-            self.unsuppressed_count()
+            "{{\"version\":\"np-audit/2\",\"files_scanned\":{},\"fns_indexed\":{},\
+             \"call_edges\":{},\"findings\":[",
+            self.files_scanned, self.fns_indexed, self.call_edges
         );
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
@@ -148,21 +116,12 @@ impl AuditReport {
             }
             let _ = write!(
                 out,
-                "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\",\
-                 \"suppressed\":{}}}",
+                "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
                 escape_json(f.rule),
                 escape_json(&f.path),
                 f.line,
-                escape_json(&f.message),
-                f.suppressed
+                escape_json(&f.message)
             );
-        }
-        out.push_str("],\"stale_suppressions\":[");
-        for (i, s) in self.stale_suppressions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", escape_json(s));
         }
         out.push_str("],\"unsafe_sites\":[");
         for (i, s) in self.unsafe_sites.iter().enumerate() {
@@ -217,7 +176,7 @@ impl AuditReport {
 
 /// Audits in-memory `(path, source)` pairs (the callers: the workspace
 /// walk below, fixtures in tests, seeded temp trees in the CLI tests).
-pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline) -> AuditReport {
+pub fn audit_sources(sources: &[(String, String)]) -> AuditReport {
     let ws = WorkspaceIndex::build(sources);
     let graph = CallGraph::build(&ws);
 
@@ -250,23 +209,20 @@ pub fn audit_sources(sources: &[(String, String)], baseline: &Baseline) -> Audit
     });
     findings.dedup();
 
-    let mut report = AuditReport {
+    AuditReport {
         findings,
         files_scanned: ws.files.len(),
         fns_indexed: ws.fn_count(),
         call_edges: graph.edge_count,
-        stale_suppressions: Vec::new(),
         unsafe_sites,
-    };
-    report.stale_suppressions = baseline.apply(&mut report.findings);
-    report
+    }
 }
 
 /// Audits the workspace rooted at `root`: every `.rs` under `src/` and
 /// `crates/*/src/`, vendored shims excluded. Tests, benches and examples
 /// are out of scope by construction.
-pub fn audit_workspace(root: &Path, baseline: &Baseline) -> std::io::Result<AuditReport> {
-    Ok(audit_sources(&workspace_sources(root)?, baseline))
+pub fn audit_workspace(root: &Path) -> std::io::Result<AuditReport> {
+    Ok(audit_sources(&workspace_sources(root)?))
 }
 
 /// The `(relative path, source)` pairs [`audit_workspace`] scans, in
@@ -346,13 +302,10 @@ mod tests {
 
     #[test]
     fn clean_sources_audit_clean() {
-        let report = audit_sources(
-            &src(&[(
-                "crates/a/src/lib.rs",
-                "pub fn add(a: u32, b: u32) -> u32 { a + b }\n",
-            )]),
-            &Baseline::empty(),
-        );
+        let report = audit_sources(&src(&[(
+            "crates/a/src/lib.rs",
+            "pub fn add(a: u32, b: u32) -> u32 { a + b }\n",
+        )]));
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.files_scanned, 1);
         assert_eq!(report.fns_indexed, 1);
@@ -364,12 +317,9 @@ mod tests {
                    let _g = cv.wait(g);\n}\n";
         let allowed = "fn f(cv: &std::sync::Condvar, g: std::sync::MutexGuard<u32>) {\n    \
                        let _g = cv.wait(g); // audit:allow(condvar-discipline)\n}\n";
-        let r1 = audit_sources(&src(&[("crates/a/src/lib.rs", bad)]), &Baseline::empty());
-        assert_eq!(r1.unsuppressed_count(), 1, "{}", r1.render());
-        let r2 = audit_sources(
-            &src(&[("crates/a/src/lib.rs", allowed)]),
-            &Baseline::empty(),
-        );
+        let r1 = audit_sources(&src(&[("crates/a/src/lib.rs", bad)]));
+        assert_eq!(r1.findings.len(), 1, "{}", r1.render());
+        let r2 = audit_sources(&src(&[("crates/a/src/lib.rs", allowed)]));
         assert!(r2.is_clean(), "{}", r2.render());
     }
 
@@ -379,10 +329,10 @@ mod tests {
             "crates/a/src/lib.rs",
             "fn f() { unsafe { core::hint::unreachable_unchecked() } }\n",
         )]);
-        let a = audit_sources(&files, &Baseline::empty());
-        let b = audit_sources(&files, &Baseline::empty());
+        let a = audit_sources(&files);
+        let b = audit_sources(&files);
         assert_eq!(a.to_json(), b.to_json(), "byte-identical across runs");
-        assert!(a.to_json().starts_with("{\"version\":\"np-audit/1\""));
+        assert!(a.to_json().starts_with("{\"version\":\"np-audit/2\""));
         assert_eq!(a.unsafe_sites.len(), 1);
         assert!(a.inventory_markdown().contains("**MISSING**"));
     }
@@ -395,7 +345,6 @@ mod tests {
                 path: "a\"b.rs".into(),
                 line: 7,
                 message: "tab\there\\".into(),
-                suppressed: false,
             }],
             files_scanned: 3,
             ..AuditReport::default()
@@ -418,7 +367,7 @@ mod tests {
             "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
         )
         .unwrap();
-        let report = audit_workspace(&root, &Baseline::empty()).unwrap();
+        let report = audit_workspace(&root).unwrap();
         std::fs::remove_dir_all(&root).unwrap();
         assert_eq!(report.files_scanned, 1);
         let got: Vec<_> = report
@@ -430,24 +379,5 @@ mod tests {
             got,
             vec![("crates/serve/src/lib.rs", "no-panic-reachable", 1)]
         );
-    }
-
-    #[test]
-    fn baseline_suppression_gates_only_new_findings() {
-        let files = src(&[(
-            "crates/a/src/lib.rs",
-            "fn f() { unsafe { core::hint::unreachable_unchecked() } }\n",
-        )]);
-        let baseline = Baseline::parse(
-            r#"{"version": "np-audit-baseline/1", "suppressions": [
-                {"rule": "unsafe-safety", "path": "crates/a/src/lib.rs",
-                 "contains": "", "reason": "fixture"}]}"#,
-        )
-        .unwrap();
-        let report = audit_sources(&files, &baseline);
-        assert!(report.is_clean(), "{}", report.render());
-        assert_eq!(report.findings.len(), 1, "finding kept, marked suppressed");
-        assert!(report.findings[0].suppressed);
-        assert!(report.render().contains("(baseline)"));
     }
 }

@@ -273,7 +273,6 @@ pub fn lock_order(ws: &WorkspaceIndex, graph: &CallGraph, findings: &mut Vec<Aud
                 scc.join(", "),
                 sites.join(", ")
             ),
-            suppressed: false,
         });
     }
 }
@@ -388,7 +387,6 @@ pub fn condvar(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
                              a bare wait return early — re-check the predicate in a loop/while",
                             f.name
                         ),
-                        suppressed: false,
                     });
                 }
                 if code.contains(".notify_one(") || code.contains(".notify_all(") {
@@ -406,7 +404,6 @@ pub fn condvar(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
                                  wait",
                                 f.name
                             ),
-                            suppressed: false,
                         });
                     }
                 }
@@ -470,7 +467,6 @@ pub fn atomics(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
                     message: "Ordering::Relaxed outside crates/telemetry; use SeqCst or move \
                               the atomic behind the telemetry facade"
                         .to_string(),
-                    suppressed: false,
                 });
             }
         }
@@ -523,7 +519,6 @@ pub fn atomics(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
                     "Acquire on atomic `{label}` with no Release store anywhere in the \
                      workspace; the load synchronises with nothing"
                 ),
-                suppressed: false,
             }),
             (None, Some((path, line))) => findings.push(AuditFinding {
                 rule: "atomics-ordering",
@@ -533,7 +528,6 @@ pub fn atomics(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
                     "Release on atomic `{label}` with no Acquire load anywhere in the \
                      workspace; the store publishes to nobody"
                 ),
-                suppressed: false,
             }),
             _ => {}
         }
@@ -617,7 +611,6 @@ pub fn hot_path(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
                              of the inner loop or drop the marker",
                             f.name
                         ),
-                        suppressed: false,
                     });
                 }
             }
@@ -664,7 +657,6 @@ pub fn unsafe_safety(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) -> V
                     message: "unsafe without a `// SAFETY:` justification in the three preceding \
                               lines; say why the invariants hold"
                         .to_string(),
-                    suppressed: false,
                 });
             }
             sites.push(UnsafeSite {
@@ -701,7 +693,6 @@ pub fn panic_reachable(ws: &WorkspaceIndex, graph: &CallGraph, findings: &mut Ve
                             "`{tok}` in a server/probe/acquisition entry file; a panic here \
                              aborts the serving/measurement path — return a typed error instead"
                         ),
-                        suppressed: false,
                     });
                 }
             }
@@ -744,7 +735,6 @@ pub fn panic_reachable(ws: &WorkspaceIndex, graph: &CallGraph, findings: &mut Ve
                              measurement path — return a typed error instead",
                             f.name
                         ),
-                        suppressed: false,
                     });
                 }
             }
@@ -799,7 +789,6 @@ pub fn line_rules(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
                 path: file.path.clone(),
                 line: idx + 1,
                 message: message.to_string(),
-                suppressed: false,
             });
         };
         for (idx, code) in code_lines.iter().enumerate() {

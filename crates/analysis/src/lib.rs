@@ -18,8 +18,8 @@
 //!   item/fn index and an approximate workspace call graph feed rules for
 //!   lock-order cycles, condvar discipline, atomics orderings, hot-path
 //!   hygiene, unsafe inventory, panic reachability, bounded socket reads,
-//!   guarded telemetry and wall-clock-free deterministic code, gated by a
-//!   committed baseline-suppression file (JSON + SARIF output).
+//!   guarded telemetry and wall-clock-free deterministic code (JSON +
+//!   SARIF output); an inline `// audit:allow(<rule>)` is the only waiver.
 //! - [`sweep`] — the analysis fanned over many programs on an np-parallel
 //!   pool, in input order (the differential-envelope sweep of `np
 //!   analyze --all`).
@@ -36,7 +36,7 @@ pub mod lexer;
 pub mod race;
 pub mod sweep;
 
-pub use audit::{audit_sources, audit_workspace, AuditFinding, AuditReport, Baseline};
+pub use audit::{audit_sources, audit_workspace, AuditFinding, AuditReport};
 pub use barrier::{check_barriers, DeadlockReport};
 pub use bounds::{compute as compute_bounds, priors, EventBound, EventPrior, Priors, StaticBounds};
 pub use cfg::{Block, ProgramCfg, ThreadCfg};

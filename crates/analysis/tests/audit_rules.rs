@@ -5,25 +5,25 @@
 //! `SAFETY:` comments, test-module exemptions — so a future "simplify
 //! the rule" change that reintroduces false positives fails here first.
 
-use np_analysis::{audit_sources, Baseline};
+use np_analysis::audit_sources;
 
 fn audit(files: &[(&str, &str)]) -> np_analysis::AuditReport {
     let owned: Vec<(String, String)> = files
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect();
-    audit_sources(&owned, &Baseline::empty())
+    audit_sources(&owned)
 }
 
 fn rules_fired(report: &np_analysis::AuditReport) -> Vec<&'static str> {
-    let mut rules: Vec<&'static str> = report.unsuppressed().map(|f| f.rule).collect();
+    let mut rules: Vec<&'static str> = report.findings.iter().map(|f| f.rule).collect();
     rules.dedup();
     rules
 }
 
-/// `(rule, line)` of every unsuppressed finding, in report order.
+/// `(rule, line)` of every finding, in report order.
 fn findings(report: &np_analysis::AuditReport) -> Vec<(&'static str, usize)> {
-    report.unsuppressed().map(|f| (f.rule, f.line)).collect()
+    report.findings.iter().map(|f| (f.rule, f.line)).collect()
 }
 
 // ---------------------------------------------------------------- lock-order
@@ -53,7 +53,7 @@ fn lock_order_flags_opposite_acquisition_orders() {
         "{}",
         report.render()
     );
-    let f = report.unsuppressed().next().unwrap();
+    let f = &report.findings[0];
     assert!(f.message.contains("s.alpha"), "{}", f.message);
     assert!(f.message.contains("s.beta"), "{}", f.message);
 }
@@ -169,12 +169,7 @@ fn condvar_flags_bare_wait_outside_a_loop() {
         "{}",
         report.render()
     );
-    assert!(report
-        .unsuppressed()
-        .next()
-        .unwrap()
-        .message
-        .contains("predicate loop"));
+    assert!(report.findings[0].message.contains("predicate loop"));
 }
 
 #[test]
@@ -216,12 +211,7 @@ fn condvar_flags_notify_without_the_lock() {
         "{}",
         report.render()
     );
-    assert!(report
-        .unsuppressed()
-        .next()
-        .unwrap()
-        .message
-        .contains("miss the wakeup"));
+    assert!(report.findings[0].message.contains("miss the wakeup"));
 }
 
 #[test]
@@ -286,12 +276,7 @@ fn atomics_flags_one_sided_acquire() {
         "{}",
         report.render()
     );
-    assert!(report
-        .unsuppressed()
-        .next()
-        .unwrap()
-        .message
-        .contains("no Release store"));
+    assert!(report.findings[0].message.contains("no Release store"));
 }
 
 #[test]
@@ -337,7 +322,8 @@ fn hot_path_flags_allocation_locking_and_io_in_marked_fns() {
         ),
     )]);
     let hot: Vec<_> = report
-        .unsuppressed()
+        .findings
+        .iter()
         .filter(|f| f.rule == "hot-path-hygiene")
         .collect();
     assert_eq!(hot.len(), 3, "{}", report.render());
@@ -457,7 +443,8 @@ fn panic_reachable_flags_unwrap_behind_an_entry_point() {
         ),
     ]);
     let f = report
-        .unsuppressed()
+        .findings
+        .iter()
         .find(|f| f.rule == "no-panic-reachable")
         .unwrap_or_else(|| panic!("expected a finding:\n{}", report.render()));
     assert_eq!(f.path, "crates/util/src/lib.rs");
@@ -487,7 +474,8 @@ fn panic_reachable_flags_panics_in_entry_files_themselves() {
         report.render()
     );
     assert!(report
-        .unsuppressed()
+        .findings
+        .iter()
         .all(|f| f.message.contains("entry file")));
 }
 
@@ -500,7 +488,8 @@ fn panic_reachable_ignores_uncalled_helpers() {
     )]);
     assert!(
         !report
-            .unsuppressed()
+            .findings
+            .iter()
             .any(|f| f.rule == "no-panic-reachable"),
         "{}",
         report.render()
@@ -747,7 +736,11 @@ fn findings_sort_deterministically_across_rules() {
     let b = audit(&files);
     assert_eq!(a.to_json(), b.to_json());
     assert_eq!(a.render(), b.render());
-    let rules: Vec<_> = a.unsuppressed().map(|f| (f.path.clone(), f.rule)).collect();
+    let rules: Vec<_> = a
+        .findings
+        .iter()
+        .map(|f| (f.path.clone(), f.rule))
+        .collect();
     assert_eq!(
         rules,
         vec![

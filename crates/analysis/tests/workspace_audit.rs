@@ -1,11 +1,11 @@
 //! The workspace must pass its own audit: the same scan `np audit`, CI
 //! and `scripts/verify.sh` run. Three properties are pinned here:
 //!
-//! 1. zero unsuppressed findings against the committed baseline;
+//! 1. zero findings (inline `// audit:allow(<rule>)` is the only waiver);
 //! 2. two runs produce byte-identical JSON (the determinism contract);
 //! 3. the committed `UNSAFE_INVENTORY.md` matches the tree.
 
-use np_analysis::{audit_workspace, Baseline};
+use np_analysis::audit_workspace;
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -16,18 +16,9 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn committed_baseline(root: &Path) -> Baseline {
-    match std::fs::read_to_string(root.join("audit-baseline.json")) {
-        Ok(text) => Baseline::parse(&text).expect("committed baseline parses"),
-        Err(_) => Baseline::empty(),
-    }
-}
-
 #[test]
 fn workspace_audits_clean() {
-    let root = workspace_root();
-    let baseline = committed_baseline(&root);
-    let report = audit_workspace(&root, &baseline).expect("workspace sources are readable");
+    let report = audit_workspace(&workspace_root()).expect("workspace sources are readable");
     assert!(
         report.files_scanned > 40,
         "scan looks truncated: only {} files",
@@ -43,19 +34,13 @@ fn workspace_audits_clean() {
         "workspace audit violations:\n{}",
         report.render()
     );
-    assert!(
-        report.stale_suppressions.is_empty(),
-        "baseline has stale entries:\n{}",
-        report.stale_suppressions.join("\n")
-    );
 }
 
 #[test]
 fn audit_json_is_byte_identical_across_runs() {
     let root = workspace_root();
-    let baseline = committed_baseline(&root);
-    let a = audit_workspace(&root, &baseline).expect("first run");
-    let b = audit_workspace(&root, &baseline).expect("second run");
+    let a = audit_workspace(&root).expect("first run");
+    let b = audit_workspace(&root).expect("second run");
     assert_eq!(a.to_json(), b.to_json(), "audit JSON must be deterministic");
     assert_eq!(a.to_sarif(), b.to_sarif(), "SARIF must be deterministic");
 }
@@ -63,8 +48,7 @@ fn audit_json_is_byte_identical_across_runs() {
 #[test]
 fn committed_unsafe_inventory_matches_the_tree() {
     let root = workspace_root();
-    let report =
-        audit_workspace(&root, &Baseline::empty()).expect("workspace sources are readable");
+    let report = audit_workspace(&root).expect("workspace sources are readable");
     let committed = std::fs::read_to_string(root.join("UNSAFE_INVENTORY.md"))
         .expect("UNSAFE_INVENTORY.md is committed at the workspace root");
     assert_eq!(

@@ -822,29 +822,13 @@ fn analyze_all(cli: &Cli, machine: &np_simulator::MachineConfig) -> Result<Strin
     }
 }
 
-/// `np audit`: the workspace concurrency & determinism audit. Unsuppressed
-/// findings are an error (the binary exits 2) so CI fails on a violation;
-/// the committed baseline file gates legacy findings, `--sarif` emits the
+/// `np audit`: the workspace concurrency & determinism audit. Any finding
+/// not waived inline with `// audit:allow(<rule>)` is an error (the
+/// binary exits 2) so CI fails on a violation; `--sarif` emits the
 /// code-scanning report, and `--inventory` regenerates the committed
-/// unsafe inventory.
+/// unsafe inventory. Both side files are written before the gate decides.
 fn audit_cmd(cli: &Cli) -> Result<String, String> {
-    use np_analysis::audit::{audit_workspace, Baseline};
-    let root = std::path::Path::new(&cli.path);
-    // Baseline resolution: an explicit --baseline must parse; without the
-    // flag, a committed audit-baseline.json is picked up when present.
-    let baseline = match &cli.baseline {
-        Some(p) => {
-            let text = std::fs::read_to_string(p)
-                .map_err(|e| format!("audit: cannot read baseline '{p}': {e}"))?;
-            Baseline::parse(&text).map_err(|e| format!("audit: bad baseline '{p}': {e}"))?
-        }
-        None => match std::fs::read_to_string(root.join("audit-baseline.json")) {
-            Ok(text) => Baseline::parse(&text)
-                .map_err(|e| format!("audit: bad committed audit-baseline.json: {e}"))?,
-            Err(_) => Baseline::empty(),
-        },
-    };
-    let report = audit_workspace(root, &baseline)
+    let report = np_analysis::audit_workspace(std::path::Path::new(&cli.path))
         .map_err(|e| format!("audit: cannot scan '{}': {e}", cli.path))?;
     if let Some(p) = &cli.sarif {
         std::fs::write(p, report.to_sarif())
@@ -1352,8 +1336,8 @@ mod tests {
         let out = run(&["audit"]).unwrap();
         assert!(out.contains("audit clean"), "{out}");
         let json = run(&["audit", "--json"]).unwrap();
-        assert!(json.contains("\"version\":\"np-audit/1\""), "{json}");
-        assert!(json.contains("\"unsuppressed\":0"), "{json}");
+        assert!(json.contains("\"version\":\"np-audit/2\""), "{json}");
+        assert!(json.contains("\"findings\":[]"), "{json}");
     }
 
     /// Each injected rule violation must fail the gate (`run` returns
@@ -1471,7 +1455,7 @@ mod tests {
     }
 
     #[test]
-    fn audit_baseline_suppresses_and_sarif_inventory_land_on_disk() {
+    fn failed_audit_still_lands_sarif_and_inventory_on_disk() {
         let dir = std::env::temp_dir().join(format!("np-audit-cli-{}", std::process::id()));
         let src = dir.join("crates/a/src");
         std::fs::create_dir_all(&src).unwrap();
@@ -1480,32 +1464,25 @@ mod tests {
             "fn launder(x: u32) -> u32 {\n    unsafe { std::mem::transmute::<u32, u32>(x) }\n}\n",
         )
         .unwrap();
-        let baseline = dir.join("suppress.json");
-        std::fs::write(
-            &baseline,
-            r#"{"version": "np-audit-baseline/1", "suppressions": [
-                {"rule": "unsafe-safety", "path": "crates/a/src/lib.rs",
-                 "contains": "", "reason": "grandfathered fixture"}]}"#,
-        )
-        .unwrap();
         let sarif = dir.join("audit.sarif");
         let inventory = dir.join("UNSAFE_INVENTORY.md");
-        let out = run(&[
+        let err = run(&[
             "audit",
             "--path",
             &dir.to_string_lossy(),
-            "--baseline",
-            &baseline.to_string_lossy(),
             "--sarif",
             &sarif.to_string_lossy(),
             "--inventory",
             &inventory.to_string_lossy(),
         ])
-        .unwrap();
-        assert!(out.contains("audit clean (1 suppressed)"), "{out}");
+        .unwrap_err();
+        assert!(err.contains("[unsafe-safety]"), "{err}");
+        assert!(err.contains("audit FAILED: 1 finding(s)"), "{err}");
         let sarif_text = std::fs::read_to_string(&sarif).unwrap();
-        assert!(sarif_text.contains("\"suppressions\""), "{sarif_text}");
-        assert!(sarif_text.contains("unsafe-safety"), "{sarif_text}");
+        assert!(
+            sarif_text.contains("\"ruleId\":\"unsafe-safety\""),
+            "{sarif_text}"
+        );
         let inv = std::fs::read_to_string(&inventory).unwrap();
         assert!(inv.contains("crates/a/src/lib.rs:2"), "{inv}");
         std::fs::remove_dir_all(&dir).unwrap();
