@@ -13,12 +13,12 @@
 //!
 //! Both ends are defended through np-resilience:
 //!
-//! * the **server** pins read/write deadlines on every connection, bounds
-//!   a request frame to [`ProbeLimits::max_frame_bytes`] (a hostile
-//!   client cannot OOM it), validates the threshold ladder before
-//!   touching the simulator, and consults a [`FaultInjector`] at the
-//!   `"probe.accept"` / `"probe.response"` sites so the fault matrix can
-//!   script drops, truncations, delays and garbage;
+//! * the **server** pins 5 s read/write deadlines on every connection,
+//!   bounds a request frame to 64 KiB (a hostile client cannot OOM it),
+//!   validates the threshold ladder before touching the simulator, and
+//!   consults a [`FaultInjector`] at the `"probe.accept"` /
+//!   `"probe.response"` sites so the fault matrix can script drops,
+//!   truncations, delays and garbage;
 //! * the **client** ([`RemoteMemhist::fetch_resilient`], its one fetch
 //!   path) retries per [`RetryPolicy`] with reconnect-and-backoff,
 //!   bounds each attempt with stream deadlines, rejects any reply whose
@@ -67,51 +67,31 @@ pub struct ProbeResponse {
     pub total_slices: u64,
 }
 
-/// Server-side hardening knobs.
-#[derive(Debug, Clone)]
-pub struct ProbeLimits {
-    /// Largest request frame accepted, newline included. Larger frames
-    /// fail with `InvalidData` after reading at most this many bytes.
-    pub max_frame_bytes: usize,
-    /// Largest threshold ladder a request may carry.
-    pub max_thresholds: usize,
-    /// Read/write deadlines pinned on every accepted connection.
-    pub io: StreamDeadlines,
-}
+/// Largest request frame the server accepts, newline included. Larger
+/// frames fail with `InvalidData` after reading at most this many bytes.
+const MAX_FRAME_BYTES: usize = 64 * 1024;
 
-impl Default for ProbeLimits {
-    fn default() -> Self {
-        ProbeLimits {
-            max_frame_bytes: 64 * 1024,
-            max_thresholds: 1024,
-            io: StreamDeadlines::symmetric(Duration::from_secs(5)),
-        }
-    }
-}
+/// Largest threshold ladder a request may carry.
+const MAX_THRESHOLDS: usize = 1024;
+
+/// Read/write deadline pinned on every accepted connection.
+const IO_DEADLINE: Duration = Duration::from_secs(5);
 
 /// The headless probe: owns the simulator and testee program.
 pub struct ProbeServer {
     sim: MachineSim,
     program: Program,
-    limits: ProbeLimits,
     faults: Arc<dyn FaultInjector>,
 }
 
 impl ProbeServer {
-    /// Creates a probe for one testee with default limits and no faults.
+    /// Creates a probe for one testee with no faults.
     pub fn new(sim: MachineSim, program: Program) -> Self {
         ProbeServer {
             sim,
             program,
-            limits: ProbeLimits::default(),
             faults: Arc::new(NoFaults),
         }
-    }
-
-    /// Overrides the hardening limits.
-    pub fn with_limits(mut self, limits: ProbeLimits) -> Self {
-        self.limits = limits;
-        self
     }
 
     /// Plugs in a fault injector (tests, chaos drills).
@@ -154,9 +134,9 @@ impl ProbeServer {
 
     fn handle(&self, stream: TcpStream) -> std::io::Result<()> {
         let _span = np_telemetry::span!("probe.request", "probe");
-        self.limits.io.apply(&stream)?;
+        StreamDeadlines::symmetric(IO_DEADLINE).apply(&stream)?;
         let mut reader = BufReader::new(stream.try_clone()?);
-        let line = read_line_bounded(&mut reader, self.limits.max_frame_bytes)?;
+        let line = read_line_bounded(&mut reader, MAX_FRAME_BYTES)?;
         np_telemetry::counter!("probe.rx_bytes").add(line.len() as u64);
         let req: ProbeRequest = serde_json::from_str(line.trim())
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
@@ -217,11 +197,10 @@ impl ProbeServer {
         if req.thresholds.is_empty() {
             return Err(bad("request carries no thresholds".into()));
         }
-        if req.thresholds.len() > self.limits.max_thresholds {
+        if req.thresholds.len() > MAX_THRESHOLDS {
             return Err(bad(format!(
-                "request carries {} thresholds (limit {})",
-                req.thresholds.len(),
-                self.limits.max_thresholds
+                "request carries {} thresholds (limit {MAX_THRESHOLDS})",
+                req.thresholds.len()
             )));
         }
         if req.thresholds.windows(2).any(|w| w[0] >= w[1]) {
@@ -560,16 +539,13 @@ mod tests {
         let program = LatencyChecker::new(0, 0, 1 << 20, 50).build(sim.config());
         let listener = ProbeServer::bind().unwrap();
         let addr = listener.local_addr().unwrap();
-        let server = ProbeServer::new(quiet_sim(), program).with_limits(ProbeLimits {
-            max_frame_bytes: 4096,
-            ..ProbeLimits::default()
-        });
+        let server = ProbeServer::new(quiet_sim(), program);
         let handle = std::thread::spawn(move || server.serve(&listener, 2));
 
         // A newline-free flood far beyond the frame limit: the server must
-        // cut the connection after max_frame_bytes, not buffer it all.
+        // cut the connection after MAX_FRAME_BYTES, not buffer it all.
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        let flood = vec![b'a'; 1 << 20];
+        let flood = vec![b'a'; 16 * MAX_FRAME_BYTES];
         // The server may hang up mid-write; that is success, not failure.
         let _ = stream.write_all(&flood);
         let _ = stream.flush();

@@ -48,6 +48,6 @@ pub use proto::{
     CostReply, IndicatorKey, IndicatorSet, MemhistCounts, PhaseSplit, PredictReq, QueryReq,
     Request, RequestFrame, Response, ResponseFrame, StatsReply, MODEL_ID, PROTOCOL_VERSION,
 };
-pub use server::{ExchangeServer, ServeLimits, ServerHandle};
+pub use server::{ExchangeServer, ServerHandle};
 pub use store::ShardedStore;
 pub use window::{RateWindow, WindowSnapshot};
