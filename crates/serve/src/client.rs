@@ -130,20 +130,7 @@ impl ClientSession {
     /// Stores indicator sets; returns the store generation after the last
     /// write.
     pub fn put(&mut self, sets: Vec<IndicatorSet>) -> Result<u64, ClientError> {
-        let responses = self.batch(sets.into_iter().map(Request::Put).collect())?;
-        let mut generation = 0;
-        for r in responses {
-            match r {
-                Response::Put(p) => generation = p.generation,
-                Response::Error(e) => return Err(ClientError::Server(e)),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "put answered with {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(generation)
+        put_generation(self.batch(sets.into_iter().map(Request::Put).collect())?)
     }
 
     /// Fetches all sets matching a filter.
@@ -157,39 +144,62 @@ impl ClientSession {
         &mut self,
         qs: Vec<QueryReq>,
     ) -> Result<Vec<Vec<IndicatorSet>>, ClientError> {
-        let responses = self.batch(qs.into_iter().map(Request::Query).collect())?;
-        responses
+        self.batch(qs.into_iter().map(Request::Query).collect())?
             .into_iter()
-            .map(|r| match r {
-                Response::Sets(s) => Ok(s.sets),
-                Response::Error(e) => Err(ClientError::Server(e)),
-                other => Err(ClientError::Protocol(format!(
-                    "query answered with {other:?}"
-                ))),
-            })
+            .map(sets)
             .collect()
     }
 
     /// Transfers a stored set onto a target machine's cost model.
     pub fn predict(&mut self, req: PredictReq) -> Result<CostReply, ClientError> {
-        match self.batch(vec![Request::Predict(req)])?.remove(0) {
-            Response::Cost(c) => Ok(c),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "predict answered with {other:?}"
-            ))),
-        }
+        cost(self.batch(vec![Request::Predict(req)])?.remove(0))
     }
 
     /// Server statistics.
     pub fn stats(&mut self) -> Result<StatsReply, ClientError> {
-        match self.batch(vec![Request::Stats])?.remove(0) {
-            Response::Stats(s) => Ok(s),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "stats answered with {other:?}"
-            ))),
-        }
+        stats(self.batch(vec![Request::Stats])?.remove(0))
+    }
+}
+
+/// The error for a reply of the wrong kind: the server's own `Error`
+/// reply surfaces as [`ClientError::Server`], any other kind as a
+/// protocol error naming the request `kind`.
+fn unexpected(kind: &str, reply: Response) -> ClientError {
+    match reply {
+        Response::Error(e) => ClientError::Server(e),
+        other => ClientError::Protocol(format!("{kind} answered with {other:?}")),
+    }
+}
+
+/// The store generation after the last of a frame's `put` replies.
+fn put_generation(replies: Vec<Response>) -> Result<u64, ClientError> {
+    replies.into_iter().try_fold(0, |_, r| match r {
+        Response::Put(p) => Ok(p.generation),
+        other => Err(unexpected("put", other)),
+    })
+}
+
+/// The sets a `query` reply carries.
+fn sets(reply: Response) -> Result<Vec<IndicatorSet>, ClientError> {
+    match reply {
+        Response::Sets(s) => Ok(s.sets),
+        other => Err(unexpected("query", other)),
+    }
+}
+
+/// The cost a `predict` reply carries.
+fn cost(reply: Response) -> Result<CostReply, ClientError> {
+    match reply {
+        Response::Cost(c) => Ok(c),
+        other => Err(unexpected("predict", other)),
+    }
+}
+
+/// The statistics a `stats` reply carries.
+fn stats(reply: Response) -> Result<StatsReply, ClientError> {
+    match reply {
+        Response::Stats(s) => Ok(s),
+        other => Err(unexpected("stats", other)),
     }
 }
 
@@ -257,55 +267,64 @@ impl ExchangeClient {
     /// Resilient one-shot `put`.
     pub fn put(&self, sets: Vec<IndicatorSet>) -> Result<u64, ClientError> {
         let frame = RequestFrame::new(sets.into_iter().map(Request::Put).collect());
-        let resp = self.exchange(&frame)?;
-        let mut generation = 0;
-        for r in resp.responses {
-            match r {
-                Response::Put(p) => generation = p.generation,
-                Response::Error(e) => return Err(ClientError::Server(e)),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "put answered with {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(generation)
+        put_generation(self.exchange(&frame)?.responses)
     }
 
     /// Resilient one-shot `query`.
     pub fn query(&self, q: QueryReq) -> Result<Vec<IndicatorSet>, ClientError> {
-        let resp = self.exchange(&RequestFrame::new(vec![Request::Query(q)]))?;
-        match resp.responses.into_iter().next() {
-            Some(Response::Sets(s)) => Ok(s.sets),
-            Some(Response::Error(e)) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "query answered with {other:?}"
-            ))),
-        }
+        sets(self.single(Request::Query(q))?)
     }
 
     /// Resilient one-shot `predict`.
     pub fn predict(&self, req: PredictReq) -> Result<CostReply, ClientError> {
-        let resp = self.exchange(&RequestFrame::new(vec![Request::Predict(req)]))?;
-        match resp.responses.into_iter().next() {
-            Some(Response::Cost(c)) => Ok(c),
-            Some(Response::Error(e)) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "predict answered with {other:?}"
-            ))),
-        }
+        cost(self.single(Request::Predict(req))?)
     }
 
     /// Resilient one-shot `stats`.
     pub fn stats(&self) -> Result<StatsReply, ClientError> {
-        let resp = self.exchange(&RequestFrame::new(vec![Request::Stats]))?;
-        match resp.responses.into_iter().next() {
-            Some(Response::Stats(s)) => Ok(s),
-            Some(Response::Error(e)) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "stats answered with {other:?}"
-            ))),
+        stats(self.single(Request::Stats)?)
+    }
+
+    /// Exchanges a one-request frame; returns its first reply, decoded by
+    /// the caller outside the retry loop.
+    fn single(&self, request: Request) -> Result<Response, ClientError> {
+        let resp = self.exchange(&RequestFrame::new(vec![request]))?;
+        resp.responses
+            .into_iter()
+            .next()
+            .ok_or_else(|| ClientError::Protocol("empty response frame".to_string()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{PutReply, SetsReply};
+
+    #[test]
+    fn replies_decode_to_their_kind_or_a_typed_error() {
+        let put = |generation| {
+            Response::Put(PutReply {
+                replaced: false,
+                generation,
+            })
+        };
+        assert_eq!(put_generation(vec![put(3), put(5)]), Ok(5));
+        assert_eq!(
+            put_generation(vec![put(3), Response::Error("full".into()), put(5)]),
+            Err(ClientError::Server("full".into()))
+        );
+        assert_eq!(
+            sets(Response::Sets(SetsReply { sets: Vec::new() })),
+            Ok(Vec::new())
+        );
+        match stats(put(1)) {
+            Err(ClientError::Protocol(m)) => assert!(m.starts_with("stats answered with Put")),
+            other => panic!("expected a protocol error, got {other:?}"),
         }
+        assert!(matches!(
+            cost(Response::Error("unknown source".into())),
+            Err(ClientError::Server(m)) if m == "unknown source"
+        ));
     }
 }
