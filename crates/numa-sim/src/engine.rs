@@ -154,6 +154,25 @@ struct ThreadState {
     finished: bool,
 }
 
+/// Releases barrier `id` once every unfinished thread waits on it: all of
+/// them resume at the latest waiter's clock plus 100 cycles. Until then
+/// the waiters stay parked.
+fn release_barrier(threads: &mut [ThreadState], id: u32) {
+    let all_arrived = threads
+        .iter()
+        .all(|t| t.finished || t.waiting_barrier == Some(id));
+    if !all_arrived {
+        return;
+    }
+    let Some(latest) = threads.iter().filter(|t| !t.finished).map(|t| t.now).max() else {
+        return;
+    };
+    for t in threads.iter_mut().filter(|t| !t.finished) {
+        t.waiting_barrier = None;
+        t.now = latest + 100;
+    }
+}
+
 /// The large, geometry-shaped machine state a run needs: per-core caches,
 /// TLBs, predictors and prefetchers, per-node L3s and the coherence
 /// directory. Building this from scratch allocates tens of megabytes for
@@ -435,24 +454,7 @@ impl MachineSim {
                     // a barrier; it no longer blocks the release, so
                     // re-check here or the waiters hang forever.
                     if let Some(id) = threads.iter().find_map(|t| t.waiting_barrier) {
-                        let all_arrived = threads
-                            .iter()
-                            .all(|t| t.finished || t.waiting_barrier == Some(id));
-                        if all_arrived {
-                            let release = threads
-                                .iter()
-                                .filter(|t| !t.finished)
-                                .map(|t| t.now)
-                                .max()
-                                .unwrap_or(0)
-                                + 100;
-                            for t in threads.iter_mut() {
-                                if !t.finished {
-                                    t.waiting_barrier = None;
-                                    t.now = release;
-                                }
-                            }
-                        }
+                        release_barrier(&mut threads, id);
                     }
                     continue;
                 }
@@ -533,25 +535,7 @@ impl MachineSim {
                 Op::Barrier(id) => {
                     threads[ti].now = now;
                     threads[ti].waiting_barrier = Some(id);
-                    // Release when every unfinished thread waits on `id`.
-                    let all_arrived = threads
-                        .iter()
-                        .all(|t| t.finished || t.waiting_barrier == Some(id));
-                    if all_arrived {
-                        let release = threads
-                            .iter()
-                            .filter(|t| !t.finished)
-                            .map(|t| t.now)
-                            .max()
-                            .unwrap_or(now)
-                            + 100;
-                        for t in threads.iter_mut() {
-                            if !t.finished {
-                                t.waiting_barrier = None;
-                                t.now = release;
-                            }
-                        }
-                    }
+                    release_barrier(&mut threads, id);
                     continue; // clock already stored
                 }
                 Op::TlbFlush => {
