@@ -318,12 +318,12 @@ fn walk(program: &Program, config: &MachineConfig) -> Tally {
     let mut line_writers: HashMap<u64, HashSet<usize>> = HashMap::new();
     let mut line_stores: HashMap<u64, u64> = HashMap::new();
     let mut page_toucher_nodes: HashMap<u64, HashSet<usize>> = HashMap::new();
-    for (ti, thread) in program.threads.iter().enumerate() {
-        let node = topo.node_of_core(thread.core);
-        for op in &thread.ops {
+    for (ti, thread) in program.threads().iter().enumerate() {
+        let node = topo.node_of_core(thread.core());
+        for op in thread.ops() {
             let (addr, is_store) = match op {
-                Op::Load { addr, .. } => (*addr, false),
-                Op::Store { addr } => (*addr, true),
+                Op::Load { addr, .. } => (addr, false),
+                Op::Store { addr } => (addr, true),
                 _ => continue,
             };
             let line = addr / line_bytes;
@@ -333,7 +333,7 @@ fn walk(program: &Program, config: &MachineConfig) -> Tally {
                 *line_stores.entry(line).or_default() += 1;
             }
             let page = addr / page_bytes;
-            if program.space.node_of_page(page).is_none() {
+            if program.space().node_of_page(page).is_none() {
                 page_toucher_nodes.entry(page).or_default().insert(node);
             }
         }
@@ -350,9 +350,9 @@ fn walk(program: &Program, config: &MachineConfig) -> Tally {
     // page walk + RFO + MSHR wait + DRAM under full IMC queueing, each
     // bounded independently of the clock.
     let total_accesses: u64 = program
-        .threads
+        .threads()
         .iter()
-        .flat_map(|th| th.ops.iter())
+        .flat_map(|th| th.ops())
         .filter(|op| matches!(op, Op::Load { .. } | Op::Store { .. }))
         .count() as u64;
     let lat = &config.latency;
@@ -376,8 +376,8 @@ fn walk(program: &Program, config: &MachineConfig) -> Tally {
         .saturating_add(lat.page_walk);
 
     // Pass 2 (per thread): counts, dTLB segments, candidates, cost sums.
-    for thread in &program.threads {
-        let node = topo.node_of_core(thread.core);
+    for thread in program.threads() {
+        let node = topo.node_of_core(thread.core());
         let mut seg_pages: HashSet<u64> = HashSet::new();
         let mut seg_accesses: u64 = 0;
         let mut thread_lines: HashSet<u64> = HashSet::new();
@@ -396,9 +396,9 @@ fn walk(program: &Program, config: &MachineConfig) -> Tally {
             pages.clear();
             *accesses = 0;
         };
-        for op in &thread.ops {
-            serial_min += op_min_cost(op, config);
-            serial_max = serial_max.saturating_add(op_max_cost(op, config, mem_op_max));
+        for op in thread.ops() {
+            serial_min += op_min_cost(&op, config);
+            serial_max = serial_max.saturating_add(op_max_cost(&op, config, mem_op_max));
             match op {
                 Op::Load { addr, .. } | Op::Store { addr } => {
                     if matches!(op, Op::Store { .. }) {
@@ -411,7 +411,7 @@ fn walk(program: &Program, config: &MachineConfig) -> Tally {
                     let line = addr / line_bytes;
                     thread_lines.insert(line);
                     let page = addr / page_bytes;
-                    match program.space.node_of_page(page) {
+                    match program.space().node_of_page(page) {
                         Some(home) => {
                             if home == node {
                                 t.local_candidates += 1;
@@ -433,7 +433,7 @@ fn walk(program: &Program, config: &MachineConfig) -> Tally {
                     }
                 }
                 Op::TlbFlush => close_segment(&mut seg_pages, &mut seg_accesses, &mut t),
-                Op::Exec(n) => t.exec_instructions += *n as u64,
+                Op::Exec(n) => t.exec_instructions += n as u64,
                 Op::Branch { .. } => t.branches += 1,
                 Op::Barrier(_) => t.barriers += 1,
                 Op::Reserve(bytes) => {
@@ -454,10 +454,10 @@ fn walk(program: &Program, config: &MachineConfig) -> Tally {
     }
 
     // HITM ceiling: accesses to lines some other thread stores.
-    for (ti, thread) in program.threads.iter().enumerate() {
-        for op in &thread.ops {
+    for (ti, thread) in program.threads().iter().enumerate() {
+        for op in thread.ops() {
             let addr = match op {
-                Op::Load { addr, .. } | Op::Store { addr } => *addr,
+                Op::Load { addr, .. } | Op::Store { addr } => addr,
                 _ => continue,
             };
             if let Some(writers) = line_writers.get(&(addr / line_bytes)) {
@@ -472,7 +472,7 @@ fn walk(program: &Program, config: &MachineConfig) -> Tally {
 
 fn assemble(program: &Program, config: &MachineConfig, t: &Tally) -> StaticBounds {
     let accesses = t.loads + t.stores;
-    let threads = program.threads.len() as u64;
+    let threads = program.threads().len() as u64;
     let total_barriers: u64 = t.barriers;
     let base_instructions =
         accesses + t.exec_instructions + t.branches + 150 * t.reserve_pages + 50 * t.releases;
@@ -662,8 +662,8 @@ fn assemble(program: &Program, config: &MachineConfig, t: &Tally) -> StaticBound
     let span_multi = {
         let topo = &config.topology;
         let mut nodes: HashSet<usize> = HashSet::new();
-        for th in &program.threads {
-            nodes.insert(topo.node_of_core(th.core));
+        for th in program.threads() {
+            nodes.insert(topo.node_of_core(th.core()));
         }
         nodes.len() > 1
     };

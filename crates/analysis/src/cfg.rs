@@ -54,16 +54,16 @@ impl ProgramCfg {
     /// Segments `program` into per-thread basic blocks.
     pub fn build(program: &Program) -> Self {
         let threads = program
-            .threads
+            .threads()
             .iter()
             .map(|t| {
                 let mut blocks = Vec::new();
                 let mut barrier_seq = Vec::new();
                 let mut start = 0usize;
-                for (i, op) in t.ops.iter().enumerate() {
+                for (i, op) in t.ops().enumerate() {
                     let is_boundary = match op {
                         Op::Barrier(id) => {
-                            barrier_seq.push((i, *id));
+                            barrier_seq.push((i, id));
                             true
                         }
                         Op::Branch { .. } | Op::Label(_) => true,
@@ -78,15 +78,15 @@ impl ProgramCfg {
                         start = i + 1;
                     }
                 }
-                if start < t.ops.len() || blocks.is_empty() {
+                if start < t.len() || blocks.is_empty() {
                     blocks.push(Block {
                         start,
-                        end: t.ops.len(),
+                        end: t.len(),
                         terminator: None,
                     });
                 }
                 ThreadCfg {
-                    core: t.core,
+                    core: t.core(),
                     blocks,
                     barrier_seq,
                 }
@@ -154,7 +154,7 @@ mod tests {
             .iter()
             .map(|bl| bl.end - bl.start + usize::from(bl.terminator.is_some()))
             .sum();
-        assert_eq!(covered, p.threads[0].ops.len());
+        assert_eq!(covered, p.threads()[0].len());
     }
 
     #[test]

@@ -96,18 +96,18 @@ fn first_overlap(a: &[(u64, u64)], b: &[(u64, u64)]) -> Option<(u64, u64)> {
 pub fn find_races(program: &Program, cfg: &ProgramCfg) -> Vec<RaceFinding> {
     // Bucket every access by (thread, supersteps passed before it).
     let per_thread: Vec<Vec<StepAccesses>> = program
-        .threads
+        .threads()
         .iter()
         .enumerate()
         .map(|(ti, t)| {
             let n_barriers = cfg.threads[ti].barrier_seq.len();
             let mut steps = vec![StepAccesses::default(); n_barriers + 1];
             let mut step = 0usize;
-            for op in &t.ops {
+            for op in t.ops() {
                 match op {
                     Op::Barrier(_) => step += 1,
-                    Op::Load { addr, .. } => steps[step].loads.push((*addr, *addr + 1)),
-                    Op::Store { addr } => steps[step].stores.push((*addr, *addr + 1)),
+                    Op::Load { addr, .. } => steps[step].loads.push((addr, addr + 1)),
+                    Op::Store { addr } => steps[step].stores.push((addr, addr + 1)),
                     _ => {}
                 }
             }

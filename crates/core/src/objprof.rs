@@ -74,7 +74,7 @@ impl ObjectProfiler {
     pub fn new(program: &Program) -> Self {
         let mut ranges = Vec::new();
         let mut stats = Vec::new();
-        for (i, (base, bytes, _policy)) in program.space.regions().enumerate() {
+        for (i, (base, bytes, _policy)) in program.space().regions().enumerate() {
             ranges.push((base, base + bytes, i));
             stats.push(ObjectStats {
                 object: i,

@@ -378,7 +378,7 @@ impl MachineSim {
         let cfg = &self.config;
         let n_cores = cfg.topology.total_cores();
         let mut counters = Counters::new(n_cores);
-        let mut space = program.space.clone();
+        let mut space = program.space().clone();
         let SimState {
             cores,
             l3s,
@@ -386,10 +386,10 @@ impl MachineSim {
         } = state;
 
         let mut threads: Vec<ThreadState> = program
-            .threads
+            .threads()
             .iter()
             .map(|t| ThreadState {
-                core: t.core,
+                core: t.core(),
                 pc: 0,
                 now: 0,
                 waiting_barrier: None,
@@ -443,23 +443,20 @@ impl MachineSim {
                 break;
             };
 
-            let op = {
-                let t = &threads[ti];
-                let ops = &program.threads[ti].ops;
-                if t.pc >= ops.len() {
-                    let core = t.core;
-                    threads[ti].finished = true;
-                    close_region(&mut open_region[ti], &mut region_acc, &counters, core);
-                    // This thread may have been the last non-waiter gating
-                    // a barrier; it no longer blocks the release, so
-                    // re-check here or the waiters hang forever.
-                    if let Some(id) = threads.iter().find_map(|t| t.waiting_barrier) {
-                        release_barrier(&mut threads, id);
-                    }
-                    continue;
+            let stream = &program.threads()[ti];
+            let pc = threads[ti].pc;
+            if pc >= stream.len() {
+                let core = threads[ti].core;
+                threads[ti].finished = true;
+                close_region(&mut open_region[ti], &mut region_acc, &counters, core);
+                // This thread may have been the last non-waiter gating
+                // a barrier; it no longer blocks the release, so
+                // re-check here or the waiters hang forever.
+                if let Some(id) = threads.iter().find_map(|t| t.waiting_barrier) {
+                    release_barrier(&mut threads, id);
                 }
-                ops[t.pc]
-            };
+                continue;
+            }
             threads[ti].pc += 1;
             let core_id = threads[ti].core;
             let node = cfg.topology.node_of_core(core_id);
@@ -483,7 +480,10 @@ impl MachineSim {
                 }
             }
 
-            match op {
+            // Decoded here, right before the dispatch on it, so the
+            // compiler can fold the decode's branch on the op kind into
+            // this match.
+            match stream.op(pc) {
                 Op::Exec(n) => {
                     counters.add(core_id, HwEvent::Instructions, n as u64);
                     now += n as u64 * cfg.core.issue_cost;

@@ -4,7 +4,7 @@ use np_simulator::cache::SetAssocCache;
 use np_simulator::config::{CacheGeometry, MachineConfig};
 use np_simulator::event::HwEvent;
 use np_simulator::mem::{AddressSpace, AllocPolicy};
-use np_simulator::program::ProgramBuilder;
+use np_simulator::program::{Op, ProgramBuilder};
 use np_simulator::topology::Topology;
 use np_simulator::MachineSim;
 use proptest::prelude::*;
@@ -16,8 +16,95 @@ fn quiet_machine() -> MachineSim {
     MachineSim::new(cfg)
 }
 
+/// A `u64` operand: the edges of the 60-bit packed field and both sides
+/// of it.
+fn operand() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just((1u64 << 60) - 1),
+        Just(1u64 << 60),
+        Just(u64::MAX),
+        0u64..(1 << 60),
+        (1u64 << 60)..u64::MAX,
+    ]
+}
+
+/// A `u32` field, edges included.
+fn field() -> impl Strategy<Value = u32> {
+    prop_oneof![Just(0u32), Just(u32::MAX), 0u32..u32::MAX]
+}
+
+/// Any op, with every variant and both values of each `bool`.
+fn any_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        operand().prop_map(|addr| Op::Load {
+            addr,
+            dependent: false
+        }),
+        operand().prop_map(|addr| Op::Load {
+            addr,
+            dependent: true
+        }),
+        operand().prop_map(|addr| Op::Store { addr }),
+        field().prop_map(Op::Exec),
+        field().prop_map(|site| Op::Branch { site, taken: false }),
+        field().prop_map(|site| Op::Branch { site, taken: true }),
+        field().prop_map(Op::Barrier),
+        Just(Op::TlbFlush),
+        field().prop_map(Op::Label),
+        operand().prop_map(Op::Reserve),
+        operand().prop_map(Op::Release),
+    ]
+}
+
+/// Appends `op` through the builder method for its variant.
+fn push(b: &mut ProgramBuilder, thread: usize, op: Op) {
+    match op {
+        Op::Load {
+            addr,
+            dependent: false,
+        } => b.load(thread, addr),
+        Op::Load {
+            addr,
+            dependent: true,
+        } => b.load_dependent(thread, addr),
+        Op::Store { addr } => b.store(thread, addr),
+        Op::Exec(n) => b.exec(thread, n),
+        Op::Branch { site, taken } => b.branch(thread, site, taken),
+        Op::Barrier(id) => b.barrier(thread, id),
+        Op::TlbFlush => b.tlb_flush(thread),
+        Op::Label(id) => b.label(thread, id),
+        Op::Reserve(bytes) => b.reserve(thread, bytes),
+        Op::Release(bytes) => b.release(thread, bytes),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn packed_ops_read_back_identical_and_in_order(
+        first in proptest::collection::vec(any_op(), 0..200),
+        second in proptest::collection::vec(any_op(), 0..200),
+    ) {
+        let topo = Topology::fully_interconnected(2, 4, 1 << 30);
+        let mut b = ProgramBuilder::new(&topo, 4096);
+        let t0 = b.add_thread(0);
+        let t1 = b.add_thread(1);
+        // Interleaved, so one thread's side table cannot serve the other.
+        for i in 0..first.len().max(second.len()) {
+            if let Some(&op) = first.get(i) {
+                push(&mut b, t0, op);
+            }
+            if let Some(&op) = second.get(i) {
+                push(&mut b, t1, op);
+            }
+        }
+        let p = b.build();
+        prop_assert_eq!(p.total_ops(), first.len() + second.len());
+        prop_assert_eq!(p.threads()[0].ops().collect::<Vec<_>>(), first);
+        prop_assert_eq!(p.threads()[1].ops().collect::<Vec<_>>(), second);
+    }
 
     #[test]
     fn cache_occupancy_never_exceeds_capacity(addrs in proptest::collection::vec(0u64..1_000_000, 1..300)) {

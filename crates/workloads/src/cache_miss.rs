@@ -140,11 +140,10 @@ mod tests {
         assert_eq!(a.total_ops(), b.total_ops());
         // Same multiset of loaded addresses.
         let addrs = |p: &Program| {
-            let mut v: Vec<u64> = p.threads[0]
-                .ops
-                .iter()
+            let mut v: Vec<u64> = p.threads()[0]
+                .ops()
                 .filter_map(|op| match op {
-                    np_simulator::Op::Load { addr, .. } => Some(*addr),
+                    np_simulator::Op::Load { addr, .. } => Some(addr),
                     _ => None,
                 })
                 .collect();

@@ -288,10 +288,10 @@ mod tests {
         let sim = quiet();
         let k = ParallelSortKernel::new(8 * 1024, 4);
         let p = k.build(sim.config());
-        assert_eq!(p.threads.len(), 4);
+        assert_eq!(p.threads().len(), 4);
         // Each worker got a non-trivial op stream.
-        for t in &p.threads {
-            assert!(t.ops.len() > 1000);
+        for t in p.threads() {
+            assert!(t.len() > 1000);
         }
     }
 }

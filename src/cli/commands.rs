@@ -676,7 +676,7 @@ fn analyze_one(
         "static analysis: {} on {} ({} thread(s), {} basic block(s))\n\n",
         w.name(),
         cli.machine,
-        program.threads.len(),
+        program.threads().len(),
         a.block_count
     );
     match &a.validate {
