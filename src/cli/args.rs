@@ -183,6 +183,28 @@ pub struct Cli {
     pub verify: bool,
 }
 
+/// The output-file flags, each with the commands that write its file.
+/// Any other command rejects the flag instead of ignoring it, so a
+/// mistyped invocation cannot pass while writing nothing.
+const OUTPUT_FLAGS: &[(&str, &[Command])] = &[
+    (
+        "--out",
+        &[
+            Command::Run,
+            Command::Report,
+            Command::Patterns,
+            Command::Bench,
+            Command::Loadgen,
+        ],
+    ),
+    ("--save", &[Command::Stat, Command::Run]),
+    ("--sarif", &[Command::Audit]),
+    ("--inventory", &[Command::Audit]),
+    ("--md", &[Command::Bench]),
+    ("--csv", &[Command::Bench]),
+    ("--append", &[Command::Bench]),
+];
+
 impl Cli {
     /// Parses `argv` (without the program name).
     pub fn parse(argv: &[String]) -> Result<Cli, String> {
@@ -269,6 +291,12 @@ impl Cli {
             };
 
         while let Some(arg) = it.next() {
+            if let Some((flag, _)) = OUTPUT_FLAGS
+                .iter()
+                .find(|(flag, writers)| flag == arg && !writers.contains(&command))
+            {
+                return Err(format!("`{cmd}` writes no {flag} file; drop {flag}"));
+            }
             match arg.as_str() {
                 "--machine" => cli.machine = take_value("--machine", &mut it)?,
                 "--workload" | "-w" => cli.workload = Some(take_value("--workload", &mut it)?),
@@ -681,6 +709,40 @@ mod tests {
 
         let cli = parse(&["patterns", "--capture", "c.json"]).unwrap();
         assert_eq!(cli.capture.as_deref(), Some("c.json"));
+    }
+
+    #[test]
+    fn output_flags_are_rejected_where_no_file_is_written() {
+        // One accepted use per flag.
+        let accepted: &[&[&str]] = &[
+            &["loadgen", "--out", "b.json"],
+            &["stat", "-w", "sift", "--save", "before"],
+            &["audit", "--sarif", "a.sarif"],
+            &["audit", "--inventory", "inv.md"],
+            &["bench", "--md", "b.md"],
+            &["bench", "--csv", "b.csv"],
+            &["bench", "trend", "--append", "h.jsonl"],
+        ];
+        for argv in accepted {
+            assert!(parse(argv).is_ok(), "{argv:?} must parse");
+        }
+        let rejected: &[&[&str]] = &[
+            &["stat", "-w", "row-major", "--sarif", "x.sarif"],
+            &["stat", "--out", "s.json"],
+            &["audit", "--save", "name"],
+            &["stat", "--inventory", "inv.md"],
+            &["loadgen", "--md", "l.md"],
+            &["patterns", "--csv", "p.csv"],
+            &["compare", "--append", "h.jsonl"],
+        ];
+        for argv in rejected {
+            let err = parse(argv).expect_err(&format!("{argv:?} writes nothing"));
+            let flag = argv[argv.len() - 2];
+            assert!(
+                err.contains(&format!("`{}`", argv[0])) && err.contains(flag),
+                "{argv:?}: '{err}' must name the command and {flag}"
+            );
+        }
     }
 
     #[test]

@@ -120,7 +120,8 @@ OPTIONS:
     --multiplexed      acquire via timeslice multiplexing instead of
                        repeated batched runs
     --json             catalog: emit JSON
-    --save NAME        stat: record the measurement as an archive
+    --save NAME        stat / run: record the measurement (run: the
+                       capture) as an archive
     --session DIR      archive directory (default .np-session)
     --telemetry FILE   write the tools' own metrics snapshot as JSON
                        (see `numa-perf-tools help telemetry`)
@@ -140,8 +141,11 @@ OPTIONS:
                        cache was exercised and the transfer audit passed;
                        bench: fail unless every cell audit
                        (bit-equality vs sequential) held
-    --out FILE         loadgen / bench: artifact path
-                       (defaults BENCH_serve.json / BENCH_matrix.json)
+    --out FILE         loadgen / bench / run / report / patterns:
+                       artifact path (defaults BENCH_serve.json /
+                       BENCH_matrix.json / CAPTURE.json / REPORT.html /
+                       PATTERNS.json); an output flag on a command
+                       that never writes its file exits 2
     --config FILE      bench: matrix config, TOML subset
     --baseline FILE    bench diff: baseline report (or first positional)
     --current FILE     bench diff/trend/speedup: pre-recorded report
