@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Reproduces the CI pipeline locally, offline: every tier-1 stage of
 # scripts/verify.sh, then the CI gates verify.sh does not run (the
-# determinism matrix, audit SARIF, the bench regression and multi-core
-# gates), plus the nightly jobs from nightly.yml. If this passes, CI
+# determinism matrix, the dl580 and noisy-ring engine golden digests,
+# audit SARIF, the bench regression and multi-core gates), plus the
+# nightly jobs from nightly.yml. If this passes, CI
 # passes (modulo toolchain drift; CI also checks the pinned MSRV
 # toolchain).
 #
@@ -43,6 +44,9 @@ cargo test -q --offline --test integration_parallel -- --test-threads 1
 cargo test -q --offline --test integration_parallel -- --test-threads 8
 cargo test -q --offline -p np-parallel -- --test-threads 1
 
+echo "== engine golden digests, dl580 and noisy ring legs (release) =="
+cargo test --release --offline --test differential_engine -- --ignored
+
 echo "== np audit --sarif (CI annotation artifact) =="
 cargo run --release --offline --quiet -- audit --sarif "$out/audit.sarif"
 
@@ -73,9 +77,6 @@ if [[ "$quick" -eq 0 ]]; then
 
   echo "== nightly: hostile frames, large fuzz sample (release) =="
   cargo test --release --offline --test hostile_frames -- --ignored
-
-  echo "== nightly: engine golden digests, dl580 and noisy ring legs (release) =="
-  cargo test --release --offline --test differential_engine -- --ignored
 
   echo "== nightly: resilience unit suites (release) =="
   cargo test --release --offline -p np-resilience -p np-core -p np-counters

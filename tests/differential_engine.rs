@@ -271,10 +271,11 @@ fn registry_and_callbacks_are_pinned_on_two_socket_noisy() {
     observed_sweep("two-socket-noisy", MachineConfig::two_socket_small());
 }
 
-/// The paper's machine and the noisy ring. Heavier; runs in the nightly
-/// tier (`cargo test --release --test differential_engine -- --ignored`).
+/// The paper's machine and the noisy ring. Heavier, so the per-PR CI
+/// check job runs it in release
+/// (`cargo test --release --test differential_engine -- --ignored`).
 #[test]
-#[ignore = "nightly: dl580 and noisy ring legs"]
+#[ignore = "minutes in debug; CI runs the dl580 and noisy ring legs in release"]
 fn registry_and_callbacks_are_pinned_on_dl580_and_noisy_ring() {
     differential_sweep("dl580-quiet", quiet(MachineConfig::dl580_gen9()));
     observed_sweep("dl580-noisy", MachineConfig::dl580_gen9());
