@@ -1,9 +1,10 @@
 //! End-to-end contract of the `np bench` matrix harness: the
 //! deterministic half of a report (cell identity, digests, audits,
 //! `det_` metrics) must be byte-stable across harness thread counts and
-//! across re-runs, the diff gate must pass an identical re-run and fail
-//! an injected regression, and every rendering of a report must survive
-//! a round trip. Everything here drives the public `np_bench::harness`
+//! across re-runs, the smoke cells' digests and audits must match the
+//! committed `baselines/ci.json`, the diff gate must pass an identical
+//! re-run and fail an injected regression, and every rendering of a
+//! report must survive a round trip. Everything here drives the public `np_bench::harness`
 //! API plus the real CLI entry point (`numa_perf_tools::cli::run`), the
 //! same paths CI exercises.
 
@@ -15,6 +16,10 @@ use np_bench::harness::{
 /// wire format the `json-roundtrip` cell pins, and the bytes the
 /// `serve-frame` cell's server writes from its stored sets.
 const JSON_ROUNDTRIP_DIGEST: &str = "54533be7308170df";
+
+/// The committed baseline CI's `bench-regression` job diffs the smoke
+/// matrix against.
+const CI_BASELINE: &str = include_str!("../baselines/ci.json");
 
 fn smoke_report(harness_threads: usize) -> BenchReport {
     run_matrix(&MatrixConfig::smoke(), harness_threads).expect("smoke matrix must run")
@@ -62,6 +67,19 @@ fn structure_is_deterministic_across_harness_threads() {
     const FRAME_CELLS: [&str; 2] = ["json-roundtrip", "serve-frame"];
     for workload in FRAME_CELLS {
         assert_eq!(frame_digest(&reference, workload), JSON_ROUNDTRIP_DIGEST);
+    }
+    // Every baseline cell must reproduce its digest and audit here, so a
+    // digest drift fails tier-1 instead of hiding behind the CI diff
+    // job's timing noise.
+    let baseline = BenchReport::from_json(CI_BASELINE).expect("baselines/ci.json parses");
+    for base in &baseline.cells {
+        let cell = reference
+            .cells
+            .iter()
+            .find(|c| c.id == base.id)
+            .unwrap_or_else(|| panic!("smoke matrix lacks baseline cell {}", base.id));
+        assert_eq!(cell.digest, base.digest, "{} digest", base.id);
+        assert_eq!(cell.audit_ok, base.audit_ok, "{} audit", base.id);
     }
     for threads in [2, 8] {
         let got = smoke_report(threads);
