@@ -3,8 +3,11 @@
 //! Each driver builds its fixture, computes the *sequential* reference
 //! result once (the bit-equality base), then runs warmup + `repeats`
 //! recorded samples of the pooled/concurrent path at the cell's thread
-//! count. Drivers with no pool (`memhist-ladder`, `sim-throughput`,
-//! `json-roundtrip`, `serve-frame`) take their first run as the base.
+//! count. Drivers with no pool (`memhist-ladder`, `phasen-scan`,
+//! `correlate-sweep`, `sim-throughput`, `json-roundtrip`,
+//! `serve-frame`) take their first run as the base; the first three
+//! still carry the matrix's thread axis, and time the same serial call
+//! at every width.
 //! Thread starts are barrier-synchronised (inside `np_parallel::Pool` and
 //! the loadgen hammer), so samples never fold spawn skew into the
 //! measured wall. All timing flows through `np_telemetry::now_ns` — this
@@ -142,8 +145,8 @@ fn drive(
     match spec.workload.as_str() {
         "campaign" => campaign(spec, threads, cfg, machine),
         "memhist-ladder" => memhist_ladder(spec, threads, cfg, machine),
-        "phasen-scan" => phasen_scan(spec, threads, cfg),
-        "correlate-sweep" => correlate_sweep(spec, threads, cfg),
+        "phasen-scan" => phasen_scan(spec, cfg),
+        "correlate-sweep" => correlate_sweep(cfg),
         "analysis-sweep" => analysis_sweep(spec, threads, cfg, machine),
         "loadgen" => loadgen(spec, threads, cfg),
         "sim-throughput" => sim_throughput(spec, cfg, machine),
@@ -241,9 +244,10 @@ fn memhist_ladder(
     })
 }
 
-/// `phasen-scan`: per-pivot segmented fits over a synthetic ramp-then-
-/// flat footprint (clear two-phase structure), pooled vs sequential.
-fn phasen_scan(spec: &CellSpec, threads: usize, cfg: &MatrixConfig) -> Result<CellOutcome, String> {
+/// `phasen-scan`: the exhaustive pivot scan over a synthetic ramp-then-
+/// flat footprint (clear two-phase structure); each sample must
+/// reproduce the first.
+fn phasen_scan(spec: &CellSpec, cfg: &MatrixConfig) -> Result<CellOutcome, String> {
     let foot_len = spec.param_usize("footprint").unwrap_or(160) as u64;
     let footprint: Vec<(u64, u64)> = (0..foot_len)
         .map(|i| {
@@ -256,11 +260,9 @@ fn phasen_scan(spec: &CellSpec, threads: usize, cfg: &MatrixConfig) -> Result<Ce
         })
         .collect();
     let pp = Phasenpruefer::default();
-    let base = format!("{:?}", pp.detect(&footprint));
-    let pool = np_parallel::Pool::new(threads);
-    let (samples_ns, audit_ok) = sample_cell(cfg.warmup, cfg.repeats, &base, || {
-        format!("{:?}", pp.detect_pool(&footprint, &pool))
-    });
+    let run = || format!("{:?}", pp.detect(&footprint));
+    let base = run();
+    let (samples_ns, audit_ok) = sample_cell(cfg.warmup, cfg.repeats, &base, run);
     Ok(CellOutcome {
         samples_ns,
         digest: digest_str(&base),
@@ -270,12 +272,9 @@ fn phasen_scan(spec: &CellSpec, threads: usize, cfg: &MatrixConfig) -> Result<Ce
 }
 
 /// `correlate-sweep`: one regression battery per catalog event over a
-/// synthetic parameter sweep with known families, pooled vs sequential.
-fn correlate_sweep(
-    _spec: &CellSpec,
-    threads: usize,
-    cfg: &MatrixConfig,
-) -> Result<CellOutcome, String> {
+/// synthetic parameter sweep with known families; each sample must
+/// reproduce the first.
+fn correlate_sweep(cfg: &MatrixConfig) -> Result<CellOutcome, String> {
     let ids = EventCatalog::builtin().ids();
     let mut sweep = ParameterSweep::new("threads");
     for &p in &[1.0f64, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0] {
@@ -310,11 +309,9 @@ fn correlate_sweep(
             .collect::<Vec<_>>()
             .join(",")
     };
-    let base = digest(&EvSel::default().correlate(&sweep));
-    let pool = np_parallel::Pool::new(threads);
-    let (samples_ns, audit_ok) = sample_cell(cfg.warmup, cfg.repeats, &base, || {
-        digest(&EvSel::default().correlate_pool(&sweep, &pool))
-    });
+    let run = || digest(&EvSel::default().correlate(&sweep));
+    let base = run();
+    let (samples_ns, audit_ok) = sample_cell(cfg.warmup, cfg.repeats, &base, run);
     Ok(CellOutcome {
         samples_ns,
         digest: digest_str(&base),

@@ -72,11 +72,4 @@ impl EvSel {
     pub fn correlate(&self, sweep: &ParameterSweep) -> SweepReport {
         regress::correlate(self, sweep)
     }
-
-    /// [`EvSel::correlate`] with the per-event regression rows fanned
-    /// across `pool`; bit-identical to the serial sweep at any thread
-    /// count (rows merge in event order before the stable strength sort).
-    pub fn correlate_pool(&self, sweep: &ParameterSweep, pool: &np_parallel::Pool) -> SweepReport {
-        regress::correlate_pool(self, sweep, pool)
-    }
 }

@@ -158,47 +158,6 @@ pub fn correlate(_evsel: &EvSel, sweep: &ParameterSweep) -> SweepReport {
     }
 }
 
-/// Performs the correlation analysis for [`EvSel::correlate_pool`]: one
-/// pool task per candidate event, rows merged in event order, then the
-/// same stable sort by |r| as the serial path — so ties between equally
-/// strong events resolve identically and the report is bit-identical to
-/// [`correlate`] at any thread count.
-pub fn correlate_pool(
-    _evsel: &EvSel,
-    sweep: &ParameterSweep,
-    pool: &np_parallel::Pool,
-) -> SweepReport {
-    let events = sweep.events();
-    let mut rows: Vec<CorrelationRow> = pool
-        .map(&events, |&event| {
-            let (x, y) = sweep.series(event);
-            if x.len() < 4 {
-                return None;
-            }
-            let r = pearson_r(&x, &y)?;
-            let (best, fits) = best_fit(&x, &y)?;
-            Some(CorrelationRow {
-                event,
-                pearson: r,
-                best,
-                fits,
-            })
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    rows.sort_by(|a, b| {
-        b.pearson
-            .abs()
-            .partial_cmp(&a.pearson.abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    SweepReport {
-        parameter: sweep.parameter.clone(),
-        rows,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,24 +231,6 @@ mod tests {
         let rep = EvSel::default().correlate(&s);
         for w in rep.rows.windows(2) {
             assert!(w[0].pearson.abs() >= w[1].pearson.abs());
-        }
-    }
-
-    #[test]
-    fn pooled_sweep_is_bit_identical_to_serial() {
-        let s = sweep_with(|t| 1000.0 + 500.0 * t, |t| 2e5 * (-0.2 * t).exp());
-        let serial = EvSel::default().correlate(&s);
-        for threads in [1, 2, 8] {
-            let pool = np_parallel::Pool::new(threads);
-            let pooled = EvSel::default().correlate_pool(&s, &pool);
-            assert_eq!(pooled.rows.len(), serial.rows.len(), "{threads} threads");
-            for (a, b) in pooled.rows.iter().zip(&serial.rows) {
-                assert_eq!(a.event, b.event, "{threads} threads");
-                assert_eq!(a.pearson.to_bits(), b.pearson.to_bits());
-                assert_eq!(a.best.kind, b.best.kind);
-                assert_eq!(a.best.r_squared.to_bits(), b.best.r_squared.to_bits());
-                assert_eq!(a.fits.len(), b.fits.len());
-            }
         }
     }
 

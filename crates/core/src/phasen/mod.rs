@@ -157,28 +157,6 @@ impl Phasenpruefer {
         })
     }
 
-    /// [`Phasenpruefer::detect`] with the exhaustive pivot scan fanned
-    /// across `pool` via [`np_stats::segmented::segmented_fit_pool`].
-    /// Bit-identical to the sequential detector at any thread count (the
-    /// pooled fit preserves the earliest-pivot tie-break).
-    pub fn detect_pool(
-        &self,
-        footprint: &[(u64, u64)],
-        pool: &np_parallel::Pool,
-    ) -> Option<PhaseReport> {
-        let samples = sample_footprint(footprint, self.sample_interval);
-        let (x, y) = to_regression_inputs(&samples);
-        let fit = np_stats::segmented::segmented_fit_pool(&x, &y, pool)?;
-        let pivot_index = fit.pivot;
-        let pivot_time = samples.get(pivot_index).map(|&(t, _)| t)?;
-        Some(PhaseReport {
-            samples,
-            pivot_index,
-            pivot_time,
-            fit,
-        })
-    }
-
     /// Detects `k` phases (the BSP-superstep extension): returns the
     /// boundary times.
     pub fn detect_k(&self, footprint: &[(u64, u64)], k: usize) -> Option<Vec<u64>> {
@@ -342,29 +320,6 @@ mod tests {
             .sum();
         assert!(total > 0.0);
         let _ = report;
-    }
-
-    #[test]
-    fn pooled_detection_is_bit_identical_to_serial() {
-        let sim = quiet();
-        let r = sim
-            .run(&chrome_like().build(sim.config()), 1)
-            .expect("valid program");
-        let pp = Phasenpruefer::default();
-        let serial = pp.detect(&r.footprint).expect("phases detected");
-        for threads in [1, 2, 8] {
-            let pool = np_parallel::Pool::new(threads);
-            let pooled = pp
-                .detect_pool(&r.footprint, &pool)
-                .expect("phases detected");
-            assert_eq!(pooled.pivot_index, serial.pivot_index, "{threads} threads");
-            assert_eq!(pooled.pivot_time, serial.pivot_time, "{threads} threads");
-            assert_eq!(
-                pooled.fit.combined_rss.to_bits(),
-                serial.fit.combined_rss.to_bits(),
-                "{threads} threads"
-            );
-        }
     }
 
     #[test]

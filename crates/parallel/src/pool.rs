@@ -233,16 +233,6 @@ impl Pool {
         self.run_report(items, f).results
     }
 
-    /// [`Pool::run`] over a slice, preserving order.
-    pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        self.run(items.len(), |i| f(&items[i]))
-    }
-
     /// Runs `f` and returns the full [`RunReport`] (results, per-chunk
     /// profile, queue counts). Panics propagate as in [`Pool::run`].
     pub fn run_report<U, F>(&self, items: usize, f: F) -> RunReport<U>
@@ -602,14 +592,6 @@ mod tests {
             let got = pool.run(100, |i| (i as u64) * (i as u64));
             assert_eq!(got, expect, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn map_preserves_order() {
-        let items: Vec<i32> = (0..57).collect();
-        let pool = Pool::new(4);
-        let doubled = pool.map(&items, |&v| v * 2);
-        assert_eq!(doubled, items.iter().map(|v| v * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -58,15 +58,4 @@ proptest! {
         let got = pool(threads, size).run(items, |i| perturbed(seed, i));
         prop_assert_eq!(got, expect);
     }
-
-    #[test]
-    fn map_agrees_with_run_for_any_input(
-        values in proptest::collection::vec(-1_000_000i64..1_000_000, 0..120),
-        threads in 1usize..6,
-    ) {
-        let p = Pool::new(threads);
-        let by_map = p.map(&values, |&v| v.wrapping_mul(3));
-        let by_run = p.run(values.len(), |i| values[i].wrapping_mul(3));
-        prop_assert_eq!(by_map, by_run);
-    }
 }

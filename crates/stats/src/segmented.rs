@@ -68,39 +68,6 @@ pub fn segmented_fit(x: &[f64], y: &[f64]) -> Option<SegmentedFit> {
     best
 }
 
-/// [`segmented_fit`] with the per-pivot regressions fanned across `pool`.
-///
-/// Every candidate pivot's two fits are independent pure computations, so
-/// they parallelise freely; the winner is then selected by the same
-/// sequential ascending scan with a strict `<` as the serial code — the
-/// earliest pivot wins RSS ties — making the result bit-identical to
-/// [`segmented_fit`] for any thread count.
-pub fn segmented_fit_pool(x: &[f64], y: &[f64], pool: &np_parallel::Pool) -> Option<SegmentedFit> {
-    if x.len() != y.len() || x.len() < 2 * MIN_SEGMENT {
-        return None;
-    }
-    let n = x.len();
-    let pivots: Vec<usize> = (MIN_SEGMENT..=(n - MIN_SEGMENT)).collect();
-    let candidates = pool.map(&pivots, |&pivot| {
-        let f0 = fit(RegressionKind::Linear, &x[..pivot], &y[..pivot])?;
-        let f1 = fit(RegressionKind::Linear, &x[pivot..], &y[pivot..])?;
-        Some((pivot, f0, f1))
-    });
-    let mut best: Option<SegmentedFit> = None;
-    for (pivot, f0, f1) in candidates.into_iter().flatten() {
-        let rss = f0.rss + f1.rss;
-        if best.as_ref().is_none_or(|b| rss < b.combined_rss) {
-            best = Some(SegmentedFit {
-                pivot,
-                before: f0,
-                after: f1,
-                combined_rss: rss,
-            });
-        }
-    }
-    best
-}
-
 /// A `k`-segment piecewise-linear fit.
 #[derive(Debug, Clone)]
 pub struct MultiSegmentFit {
@@ -271,42 +238,6 @@ mod tests {
         assert!((f.before.coefficients[1] - 2.0).abs() < 1e-9);
         assert!((f.after.coefficients[1] - 2.0).abs() < 1e-9);
         assert!(f.combined_rss < 1e-12);
-    }
-
-    #[test]
-    fn pooled_fit_is_bit_identical_to_serial() {
-        // Deterministic noise keeps ties possible without randomness.
-        let (x, mut y) = ramp_then_flat(22, 28);
-        for (i, v) in y.iter_mut().enumerate() {
-            *v += if i % 4 == 0 { 1.5 } else { -0.5 };
-        }
-        let serial = segmented_fit(&x, &y).unwrap();
-        for threads in [1, 2, 8] {
-            let pool = np_parallel::Pool::new(threads);
-            let pooled = segmented_fit_pool(&x, &y, &pool).unwrap();
-            assert_eq!(pooled.pivot, serial.pivot, "{threads} threads");
-            assert_eq!(
-                pooled.combined_rss.to_bits(),
-                serial.combined_rss.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(
-                pooled.before.coefficients, serial.before.coefficients,
-                "{threads} threads"
-            );
-            assert_eq!(
-                pooled.after.coefficients, serial.after.coefficients,
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn pooled_fit_rejects_what_serial_rejects() {
-        let x = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let y = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let pool = np_parallel::Pool::new(4);
-        assert!(segmented_fit_pool(&x, &y, &pool).is_none());
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! The determinism matrix: every pooled path in the suite — campaign,
-//! Phasenprüfer pivot scan, all-counters correlation sweep, analysis
-//! sweep — must be bit-identical across threads ∈ {1, 2, 8} and to its
-//! sequential implementation. This is the np-parallel contract exercised
-//! end-to-end through the real tools, not through synthetic pool tasks.
+//! The determinism matrix: the pooled tool paths — the `Runner`
+//! campaign and `np analyze`'s workload sweep — must be bit-identical
+//! across threads ∈ {1, 2, 8} and to their sequential implementations.
+//! This is the np-parallel contract exercised end-to-end through the real
+//! tools, not through synthetic pool tasks. (`np patterns --verify`'s
+//! sweep is checked across pool widths in `integration_patterns.rs`.)
 //! The Memhist threshold ladder reads every threshold off one run and
 //! ignores its pool; its entry point is still checked at every width.
 
-use np_core::evsel::{EvSel, ParameterSweep};
 use np_core::memhist::Memhist;
-use np_core::phasen::Phasenpruefer;
 use np_core::runner::{MeasurementPlan, Runner};
-use np_counters::measurement::{Measurement, RunSet};
 use np_parallel::Pool;
 use np_simulator::{HwEvent, MachineConfig, MachineSim, Program};
 use np_workloads::cache_miss::CacheMissKernel;
@@ -73,77 +71,6 @@ fn memhist_ladder_matrix_is_bit_identical() {
             pooled.total_slices, serial.total_slices,
             "{threads} threads"
         );
-    }
-}
-
-#[test]
-fn phasen_scan_matrix_is_bit_identical() {
-    // A ramp-then-flat footprint with deterministic jitter: the pivot
-    // scan has many near-tied candidates, which is exactly where a
-    // merge-order bug would surface as a different chosen pivot.
-    let footprint: Vec<(u64, u64)> = (0..240u64)
-        .map(|i| {
-            let mib = if i < 80 { i * 3 } else { 240 + (i % 5) };
-            (i * 50_000, mib << 20)
-        })
-        .collect();
-    let pp = Phasenpruefer::default();
-    let serial = pp.detect(&footprint).expect("two clear phases");
-    for threads in THREADS {
-        let pool = Pool::new(threads);
-        let pooled = pp.detect_pool(&footprint, &pool).expect("two clear phases");
-        assert_eq!(pooled.pivot_index, serial.pivot_index, "{threads} threads");
-        assert_eq!(pooled.pivot_time, serial.pivot_time, "{threads} threads");
-        assert_eq!(
-            pooled.fit.combined_rss.to_bits(),
-            serial.fit.combined_rss.to_bits(),
-            "{threads} threads"
-        );
-    }
-}
-
-#[test]
-fn correlation_sweep_matrix_is_bit_identical() {
-    // Synthetic sweep over every catalog event, mixing the three
-    // regression families so the strength sort has real work to do.
-    let ids = np_counters::catalog::EventCatalog::builtin().ids();
-    let mut sweep = ParameterSweep::new("threads");
-    for &p in &[1.0f64, 2.0, 4.0, 8.0, 16.0] {
-        let mut rs = RunSet::new(format!("p{p}"));
-        for rep in 0..3u64 {
-            let mut m = Measurement::new(p as u64 * 10 + rep);
-            for (ei, &e) in ids.iter().enumerate() {
-                let k = (ei + 1) as f64;
-                let v = match ei % 3 {
-                    0 => 10.0 * k + 7.0 * k * p,
-                    1 => 5.0 * k + 0.4 * k * p * p,
-                    _ => 1e4 * k * (-0.2 * p).exp(),
-                };
-                m.values.insert(e, v * (1.0 + rep as f64 * 1e-4));
-            }
-            rs.runs.push(m);
-        }
-        sweep.push(p, rs);
-    }
-    let serial = EvSel::default().correlate(&sweep);
-    for threads in THREADS {
-        let pool = Pool::new(threads);
-        let pooled = EvSel::default().correlate_pool(&sweep, &pool);
-        assert_eq!(pooled.rows.len(), serial.rows.len(), "{threads} threads");
-        for (a, b) in pooled.rows.iter().zip(&serial.rows) {
-            assert_eq!(a.event, b.event, "{threads} threads");
-            assert_eq!(
-                a.pearson.to_bits(),
-                b.pearson.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(a.best.kind, b.best.kind, "{threads} threads");
-            assert_eq!(
-                a.best.r_squared.to_bits(),
-                b.best.r_squared.to_bits(),
-                "{threads} threads"
-            );
-        }
     }
 }
 
