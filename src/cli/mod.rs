@@ -516,11 +516,13 @@ pub fn parallel_help() -> &'static str {
     "Deterministic worker-pool execution
 ===================================
 
-Campaigns, the Phasenprüfer pivot scan, the all-counters correlation
-sweep and the differential-envelope analysis sweep all fan out across
-the np-parallel pool: a zero-dependency, std::thread-based fork-join
-layer. (The Memhist threshold ladder reads every threshold off one
-run, so it has nothing to fan out.)
+Campaigns, the differential-envelope analysis sweep (`analyze`) and
+the labelled-registry verification sweep (`patterns --verify`) fan out
+across the np-parallel pool: a zero-dependency, std::thread-based
+fork-join layer. (The Memhist threshold ladder reads every threshold
+off one run, so it has nothing to fan out. The Phasenprüfer pivot scan
+and the correlation sweep run serially: each takes under 2 ms, and
+each ran slower fanned across two workers than on one.)
 
 DETERMINISM CONTRACT:
     Results merge in submission order (by chunk index, not completion
@@ -538,8 +540,9 @@ FAILURE SEMANTICS:
 
 BENCHMARK:
     numa-perf-tools bench --smoke --config baselines/bench-parallel.toml
-    runs every pooled path at 1/2/4 threads through the `np bench`
-    matrix harness and writes the unified np-bench/1 artifact: per
+    runs the pooled paths (and the serial ladder, pivot scan and
+    correlation sweep) at 1/2/4 threads through the `np bench` matrix
+    harness and writes the unified np-bench/1 artifact: per
     cell, wall-time samples, a modeled speedup (greedy makespan of the
     sequential chunk costs — meaningful even on a single-core CI host),
     and a bit-equality audit. --smoke gates ONLY the audit; speedups
