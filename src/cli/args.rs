@@ -184,25 +184,21 @@ pub struct Cli {
 }
 
 /// The output-file flags, each with the commands that write its file.
-/// Any other command rejects the flag instead of ignoring it, so a
+/// `bench` is named with its mode (`bench run` is also `bench` with no
+/// positional) and `report` writes a file only with `--html`. Any other
+/// command or mode rejects the flag instead of ignoring it, so a
 /// mistyped invocation cannot pass while writing nothing.
-const OUTPUT_FLAGS: &[(&str, &[Command])] = &[
+const OUTPUT_FLAGS: &[(&str, &[&str])] = &[
     (
         "--out",
-        &[
-            Command::Run,
-            Command::Report,
-            Command::Patterns,
-            Command::Bench,
-            Command::Loadgen,
-        ],
+        &["bench run", "report --html", "run", "patterns", "loadgen"],
     ),
-    ("--save", &[Command::Stat, Command::Run]),
-    ("--sarif", &[Command::Audit]),
-    ("--inventory", &[Command::Audit]),
-    ("--md", &[Command::Bench]),
-    ("--csv", &[Command::Bench]),
-    ("--append", &[Command::Bench]),
+    ("--save", &["stat", "run"]),
+    ("--sarif", &["audit"]),
+    ("--inventory", &["audit"]),
+    ("--md", &["bench run", "bench diff", "bench trend"]),
+    ("--csv", &["bench run"]),
+    ("--append", &["bench trend"]),
 ];
 
 impl Cli {
@@ -290,13 +286,9 @@ impl Cli {
                     .ok_or_else(|| format!("{flag} needs a value"))
             };
 
+        let mut outputs = Vec::new();
         while let Some(arg) = it.next() {
-            if let Some((flag, _)) = OUTPUT_FLAGS
-                .iter()
-                .find(|(flag, writers)| flag == arg && !writers.contains(&command))
-            {
-                return Err(format!("`{cmd}` writes no {flag} file; drop {flag}"));
-            }
+            outputs.extend(OUTPUT_FLAGS.iter().find(|(flag, _)| flag == arg));
             match arg.as_str() {
                 "--machine" => cli.machine = take_value("--machine", &mut it)?,
                 "--workload" | "-w" => cli.workload = Some(take_value("--workload", &mut it)?),
@@ -410,6 +402,19 @@ impl Cli {
                 }
                 other => return Err(format!("unknown option '{other}'")),
             }
+        }
+        // Checked after the loop: the `bench` mode or `--html` may follow
+        // the flag.
+        let mode = match (command, cli.positional.first()) {
+            (Command::Bench, mode) => format!("bench {}", mode.map_or("run", String::as_str)),
+            (Command::Report, _) if cli.html => "report --html".to_string(),
+            _ => cmd.clone(),
+        };
+        if let Some((flag, _)) = outputs
+            .into_iter()
+            .find(|(_, w)| !w.contains(&mode.as_str()))
+        {
+            return Err(format!("`{mode}` writes no {flag} file; drop {flag}"));
         }
         Ok(cli)
     }
@@ -713,7 +718,7 @@ mod tests {
 
     #[test]
     fn output_flags_are_rejected_where_no_file_is_written() {
-        // One accepted use per flag.
+        // One accepted use per flag and writing mode.
         let accepted: &[&[&str]] = &[
             &["loadgen", "--out", "b.json"],
             &["stat", "-w", "sift", "--save", "before"],
@@ -721,26 +726,50 @@ mod tests {
             &["audit", "--inventory", "inv.md"],
             &["bench", "--md", "b.md"],
             &["bench", "--csv", "b.csv"],
+            &["bench", "--out", "b.json", "run"],
+            &["bench", "diff", "base.json", "--md", "d.md"],
+            &["bench", "trend", "h.jsonl", "--md", "t.md"],
             &["bench", "trend", "--append", "h.jsonl"],
+            &["report", "--capture", "c.json", "--out", "r.html", "--html"],
         ];
         for argv in accepted {
             assert!(parse(argv).is_ok(), "{argv:?} must parse");
         }
-        let rejected: &[&[&str]] = &[
-            &["stat", "-w", "row-major", "--sarif", "x.sarif"],
-            &["stat", "--out", "s.json"],
-            &["audit", "--save", "name"],
-            &["stat", "--inventory", "inv.md"],
-            &["loadgen", "--md", "l.md"],
-            &["patterns", "--csv", "p.csv"],
-            &["compare", "--append", "h.jsonl"],
+        // (command line, the command or mode the error names, the flag)
+        let rejected = [
+            ("stat -w row-major --sarif x.sarif", "stat", "--sarif"),
+            ("stat --out s.json", "stat", "--out"),
+            ("audit --save name", "audit", "--save"),
+            ("stat --inventory inv.md", "stat", "--inventory"),
+            ("loadgen --md l.md", "loadgen", "--md"),
+            ("patterns --csv p.csv", "patterns", "--csv"),
+            ("compare --append h.jsonl", "compare", "--append"),
+            (
+                "bench diff b.json --current c.json --csv d.csv",
+                "bench diff",
+                "--csv",
+            ),
+            (
+                "bench diff b.json --current c.json --out x.json",
+                "bench diff",
+                "--out",
+            ),
+            (
+                "bench speedup --current c.json --md s.md",
+                "bench speedup",
+                "--md",
+            ),
+            ("bench trend h.jsonl --csv t.csv", "bench trend", "--csv"),
+            ("bench --append h.jsonl", "bench run", "--append"),
+            ("bench --csv d.csv diff b.json", "bench diff", "--csv"),
+            ("report --capture c.json --out r.html", "report", "--out"),
         ];
-        for argv in rejected {
-            let err = parse(argv).expect_err(&format!("{argv:?} writes nothing"));
-            let flag = argv[argv.len() - 2];
+        for (line, mode, flag) in rejected {
+            let argv: Vec<&str> = line.split(' ').collect();
+            let err = parse(&argv).expect_err(&format!("`{line}` writes nothing"));
             assert!(
-                err.contains(&format!("`{}`", argv[0])) && err.contains(flag),
-                "{argv:?}: '{err}' must name the command and {flag}"
+                err.contains(&format!("`{mode}`")) && err.contains(flag),
+                "`{line}`: '{err}' must name `{mode}` and {flag}"
             );
         }
     }

@@ -141,19 +141,21 @@ OPTIONS:
                        cache was exercised and the transfer audit passed;
                        bench: fail unless every cell audit
                        (bit-equality vs sequential) held
-    --out FILE         loadgen / bench / run / report / patterns:
-                       artifact path (defaults BENCH_serve.json /
-                       BENCH_matrix.json / CAPTURE.json / REPORT.html /
-                       PATTERNS.json); an output flag on a command
-                       that never writes its file exits 2
+    --out FILE         loadgen / bench [run] / run / report --html /
+                       patterns: artifact path (defaults
+                       BENCH_serve.json / BENCH_matrix.json /
+                       CAPTURE.json / REPORT.html / PATTERNS.json); an
+                       output flag on a command or mode that never
+                       writes its file exits 2
     --config FILE      bench: matrix config, TOML subset
     --baseline FILE    bench diff: baseline report (or first positional)
     --current FILE     bench diff/trend/speedup: pre-recorded report
                        (default: run the configured matrix)
     --noise PCT        bench diff: noise band in percent (default 15)
     --alpha P          bench diff: Welch significance level (default 0.01)
-    --md FILE          bench: also write the markdown rendering
-    --csv FILE         bench: also write the CSV rendering
+    --md FILE          bench [run] / diff / trend: also write the
+                       markdown rendering
+    --csv FILE         bench [run]: also write the CSV rendering
     --append FILE      bench trend: append the current run to this
                        JSONL history, then render it
     --shards N         serve/loadgen: store shards (default 8)
