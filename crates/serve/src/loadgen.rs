@@ -17,16 +17,17 @@
 //!    (queries, predicts, puts) and every protocol or server error is
 //!    counted.
 //!
-//! The summary serializes to `BENCH_serve.json` so later PRs have a perf
-//! trajectory to beat, and `--smoke` gates CI on the invariants that
-//! must not flake: zero errors, cache hits observed, audit passed.
+//! `np loadgen` writes the summary to `BENCH_serve.json` as a one-cell
+//! np-bench/1 report (`np_bench::harness::loadgen_report`), which `np
+//! bench diff` and `trend` read, and `--smoke` gates CI on the
+//! invariants that must not flake: zero errors, cache hits observed,
+//! audit passed.
 
 use crate::client::{ClientError, ExchangeClient};
 use crate::meta::BenchMeta;
 use crate::proto::{IndicatorKey, IndicatorSet, PredictReq, QueryReq, Request, Response};
 use np_models::transfer::TransferModel;
 use np_simulator::HwEvent;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -54,8 +55,9 @@ impl Default for LoadgenConfig {
     }
 }
 
-/// What a load run measured; serialized to `BENCH_serve.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// What a load run measured. `np loadgen` writes it to
+/// `BENCH_serve.json` as a one-cell np-bench/1 report.
+#[derive(Debug, Clone)]
 pub struct LoadSummary {
     /// Provenance of the run (host, threads, commit) — the schema block
     /// shared with every np-bench/1 report.
