@@ -20,9 +20,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo build --release =="
 cargo build --release --offline
 
-echo "== cargo test -q =="
-cargo test -q --offline
-
+# The root package is a workspace member, so this one run covers its
+# tests too.
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace --offline
 
