@@ -5,9 +5,9 @@
 //! recorded samples of the pooled/concurrent path at the cell's thread
 //! count. Drivers with no pool (`memhist-ladder`, `phasen-scan`,
 //! `correlate-sweep`, `sim-throughput`, `json-roundtrip`,
-//! `serve-frame`) take their first run as the base; the first three
-//! still carry the matrix's thread axis, and time the same serial call
-//! at every width.
+//! `serve-frame`) take their first run as the base. `phasen-scan` and
+//! `correlate-sweep` keep the matrix's thread axis but time the same
+//! serial call at every width.
 //! Thread starts are barrier-synchronised (inside `np_parallel::Pool` and
 //! the loadgen hammer), so samples never fold spawn skew into the
 //! measured wall. All timing flows through `np_telemetry::now_ns` — this
