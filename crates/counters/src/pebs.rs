@@ -15,9 +15,7 @@
 //! * "Intel does not guarantee measurements of under three cycles to be
 //!   correct" — sampled latencies below [`RELIABLE_FLOOR`] are flagged.
 
-use np_resilience::FaultInjector;
 use np_simulator::{Counters, LoadSample, SimObserver};
-use std::sync::Arc;
 
 /// Minimum latency (cycles) with guaranteed measurement accuracy.
 pub const RELIABLE_FLOOR: u64 = 3;
@@ -90,15 +88,7 @@ impl SimObserver for PebsCollector {
 /// After a run, [`CyclingPebs::estimated_exceed_counts`] scales each
 /// threshold's observed exceedances by its active fraction — the
 /// measurements Memhist subtracts pairwise to build interval bins.
-///
-/// A [`FaultInjector`] can be plugged in with [`CyclingPebs::with_faults`]
-/// to model rotations that fail (a reprogramming of the PEBS MSRs that is
-/// lost to an interrupt, a stalled slice): a faulted slice's samples are
-/// rolled back and the slice is not credited to the active threshold, so
-/// the active-fraction scaling stays honest while the lost time still
-/// counts towards `total_slices` — exactly the coverage-loss shape the
-/// paper's negative-interval discussion worries about.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct CyclingPebs {
     /// The programmed thresholds, ascending.
     pub thresholds: Vec<u64>,
@@ -111,25 +101,6 @@ pub struct CyclingPebs {
     /// Slices each threshold was active.
     active_slices: Vec<u64>,
     total_slices: u64,
-    /// `observed[current]` at the start of the running slice, for rollback.
-    slice_base: u64,
-    /// Slices discarded to injected rotation faults.
-    lost_slices: u64,
-    faults: Option<Arc<dyn FaultInjector>>,
-}
-
-impl std::fmt::Debug for CyclingPebs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CyclingPebs")
-            .field("thresholds", &self.thresholds)
-            .field("slices_per_step", &self.slices_per_step)
-            .field("current", &self.current)
-            .field("observed", &self.observed)
-            .field("active_slices", &self.active_slices)
-            .field("total_slices", &self.total_slices)
-            .field("lost_slices", &self.lost_slices)
-            .finish_non_exhaustive()
-    }
 }
 
 impl CyclingPebs {
@@ -149,17 +120,7 @@ impl CyclingPebs {
             observed: vec![0; n],
             active_slices: vec![0; n],
             total_slices: 0,
-            slice_base: 0,
-            lost_slices: 0,
-            faults: None,
         }
-    }
-
-    /// Plugs in a fault injector consulted once per timeslice at the
-    /// `"acq.pebs.rotation"` site.
-    pub fn with_faults(mut self, faults: Arc<dyn FaultInjector>) -> Self {
-        self.faults = Some(faults);
-        self
     }
 
     /// Scaled exceedance estimate per threshold:
@@ -191,11 +152,6 @@ impl CyclingPebs {
     pub fn total_slices(&self) -> u64 {
         self.total_slices
     }
-
-    /// Slices discarded because an injected rotation fault voided them.
-    pub fn lost_slices(&self) -> u64 {
-        self.lost_slices
-    }
 }
 
 impl SimObserver for CyclingPebs {
@@ -206,19 +162,7 @@ impl SimObserver for CyclingPebs {
     }
 
     fn on_timeslice(&mut self, _now: u64, _counters: &Counters, _footprint: u64) {
-        let faulted = self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.next("acq.pebs.rotation").is_some());
-        if faulted {
-            // The slice is void: roll its samples back and do not credit
-            // it to the active threshold. Time still passed.
-            self.observed[self.current] = self.slice_base;
-            self.lost_slices += 1;
-            np_telemetry::counter!("acq.pebs.lost_slices").inc();
-        } else {
-            self.active_slices[self.current] += 1;
-        }
+        self.active_slices[self.current] += 1;
         self.total_slices += 1;
         self.slice_in_step += 1;
         if self.slice_in_step >= self.slices_per_step {
@@ -226,7 +170,6 @@ impl SimObserver for CyclingPebs {
             self.current = (self.current + 1) % self.thresholds.len();
             np_telemetry::counter!("acq.pebs.threshold_cycles").inc();
         }
-        self.slice_base = self.observed[self.current];
     }
 }
 
@@ -325,56 +268,5 @@ mod tests {
     #[should_panic(expected = "ascend")]
     fn thresholds_must_ascend() {
         CyclingPebs::new(vec![64, 4], 1);
-    }
-
-    #[test]
-    fn faulted_rotation_voids_the_slice() {
-        use np_resilience::{Fault, ScriptedFaults};
-        // The first slice's rotation is lost; the remaining three are clean.
-        let faults = Arc::new(
-            ScriptedFaults::new()
-                .inject("acq.pebs.rotation", Fault::Delay(std::time::Duration::ZERO)),
-        );
-        let mut cy = CyclingPebs::new(vec![4, 64], 1).with_faults(faults);
-        let counters = Counters::new(1);
-        // Uniform stream: 10 loads at latency 100 per slice, 4 slices.
-        for slice in 0..4u64 {
-            for _ in 0..10 {
-                cy.on_load_sample(&sample(100, slice));
-            }
-            cy.on_timeslice(slice, &counters, 0);
-        }
-        assert_eq!(cy.lost_slices(), 1);
-        // Threshold 4 lost its first slice: active once (slice 2), its 10
-        // rolled-back samples must not leak into the estimate.
-        assert_eq!(cy.coverage(), &[1, 2]);
-        assert_eq!(cy.total_slices(), 4);
-        let est = cy.estimated_exceed_counts();
-        // Threshold 4: observed 10 in its one good slice → 10 × 4/1 = 40.
-        // Threshold 64: observed 20 in two good slices → 20 × 4/2 = 40.
-        assert_eq!(est, vec![40, 40]);
-    }
-
-    #[test]
-    fn unfaulted_cycler_is_unchanged_by_the_hook() {
-        use np_resilience::ScriptedFaults;
-        let faults = Arc::new(ScriptedFaults::new()); // empty script
-        let mut with = CyclingPebs::new(vec![4, 64], 1).with_faults(faults);
-        let mut without = CyclingPebs::new(vec![4, 64], 1);
-        let counters = Counters::new(1);
-        for slice in 0..4u64 {
-            for _ in 0..10 {
-                with.on_load_sample(&sample(100, slice));
-                without.on_load_sample(&sample(100, slice));
-            }
-            with.on_timeslice(slice, &counters, 0);
-            without.on_timeslice(slice, &counters, 0);
-        }
-        assert_eq!(
-            with.estimated_exceed_counts(),
-            without.estimated_exceed_counts()
-        );
-        assert_eq!(with.coverage(), without.coverage());
-        assert_eq!(with.lost_slices(), 0);
     }
 }

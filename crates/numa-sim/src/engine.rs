@@ -149,6 +149,9 @@ struct CoreState {
 struct ThreadState {
     core: usize,
     pc: usize,
+    /// The address of this thread's last load or store, which the next
+    /// one's packed step is taken from.
+    cursor: u64,
     now: u64,
     waiting_barrier: Option<u32>,
     finished: bool,
@@ -391,6 +394,7 @@ impl MachineSim {
             .map(|t| ThreadState {
                 core: t.core(),
                 pc: 0,
+                cursor: 0,
                 now: 0,
                 waiting_barrier: None,
                 finished: false,
@@ -483,7 +487,7 @@ impl MachineSim {
             // Decoded here, right before the dispatch on it, so the
             // compiler can fold the decode's branch on the op kind into
             // this match.
-            match stream.op(pc) {
+            match stream.op(pc, &mut threads[ti].cursor) {
                 Op::Exec(n) => {
                     counters.add(core_id, HwEvent::Instructions, n as u64);
                     now += n as u64 * cfg.core.issue_cost;
@@ -1726,5 +1730,32 @@ mod tests {
             .run(&b.build(), 1)
             .expect_err("empty program is invalid");
         assert!(matches!(err, ValidateError::NoThreads));
+    }
+
+    #[test]
+    fn a_reserve_beyond_the_machines_dram_is_a_typed_error() {
+        let sim = machine();
+        let topology = &sim.config().topology;
+        let dram_bytes = topology.dram_per_node * topology.nodes as u64;
+        let mut b = ProgramBuilder::new(topology, 4096);
+        let t = b.add_thread(0);
+        for _ in 0..3 {
+            b.reserve(t, 1 << 63);
+        }
+        assert_eq!(
+            sim.run(&b.build(), 1).unwrap_err(),
+            ValidateError::ReserveExceedsMemory {
+                thread: 0,
+                op: 0,
+                bytes: 1 << 63,
+                dram_bytes,
+            }
+        );
+
+        let mut b = ProgramBuilder::new(topology, 4096);
+        let t = b.add_thread(0);
+        b.reserve(t, dram_bytes);
+        let r = sim.run(&b.build(), 1).expect("all of DRAM fits");
+        assert_eq!(r.footprint.last().unwrap().1, dram_bytes);
     }
 }

@@ -16,16 +16,15 @@ fn quiet_machine() -> MachineSim {
     MachineSim::new(cfg)
 }
 
-/// A `u64` operand: the edges of the 60-bit packed field and both sides
-/// of it.
+/// A `u64` operand: anywhere in its range, edges included.
 fn operand() -> impl Strategy<Value = u64> {
     prop_oneof![
         Just(0u64),
-        Just((1u64 << 60) - 1),
-        Just(1u64 << 60),
+        Just((1u64 << 28) - 1),
+        Just(1u64 << 28),
         Just(u64::MAX),
-        0u64..(1 << 60),
-        (1u64 << 60)..u64::MAX,
+        0u64..(1 << 28),
+        (1u64 << 28)..u64::MAX,
     ]
 }
 
@@ -55,6 +54,74 @@ fn any_op() -> impl Strategy<Value = Op> {
         operand().prop_map(Op::Reserve),
         operand().prop_map(Op::Release),
     ]
+}
+
+/// A load's or store's step from its thread's previous address, as a
+/// wrapping `u64`: the largest step back (−2^27) and forward (2^27 − 1)
+/// that a packed word holds, one past each, or a small stride.
+fn step() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(-(1i64 << 27)),
+        Just((1i64 << 27) - 1),
+        Just(-(1i64 << 27) - 1),
+        Just(1i64 << 27),
+        -256i64..257,
+    ]
+    .prop_map(|s| s as u64)
+}
+
+/// A non-memory operand at the edge of the 28-bit packed field: the
+/// largest that fits, the smallest that does not, `u32::MAX`, or small.
+fn edge() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just((1u32 << 28) - 1),
+        Just(1u32 << 28),
+        Just(u32::MAX),
+        0u32..64,
+    ]
+}
+
+/// Any op at the edges of the packed word. A load's or store's `addr`
+/// holds its [`step`]; [`place`] turns it into an address.
+fn stepped_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        step().prop_map(|addr| Op::Load {
+            addr,
+            dependent: false
+        }),
+        step().prop_map(|addr| Op::Load {
+            addr,
+            dependent: true
+        }),
+        step().prop_map(|addr| Op::Store { addr }),
+        edge().prop_map(Op::Exec),
+        edge().prop_map(|site| Op::Branch { site, taken: false }),
+        edge().prop_map(|site| Op::Branch { site, taken: true }),
+        edge().prop_map(Op::Barrier),
+        Just(Op::TlbFlush),
+        edge().prop_map(Op::Label),
+        edge().prop_map(|b| Op::Reserve(b.into())),
+        edge().prop_map(|b| Op::Release(b.into())),
+    ]
+}
+
+/// Moves `cursor`, a thread's previous address, by a stepped load's or
+/// store's step and returns the op at the address it lands on.
+fn place(op: Op, cursor: &mut u64) -> Op {
+    match op {
+        Op::Load { addr, dependent } => {
+            *cursor = cursor.wrapping_add(addr);
+            Op::Load {
+                addr: *cursor,
+                dependent,
+            }
+        }
+        Op::Store { addr } => {
+            *cursor = cursor.wrapping_add(addr);
+            Op::Store { addr: *cursor }
+        }
+        op => op,
+    }
 }
 
 /// Appends `op` through the builder method for its variant.
@@ -104,6 +171,37 @@ proptest! {
         prop_assert_eq!(p.total_ops(), first.len() + second.len());
         prop_assert_eq!(p.threads()[0].ops().collect::<Vec<_>>(), first);
         prop_assert_eq!(p.threads()[1].ops().collect::<Vec<_>>(), second);
+    }
+
+    #[test]
+    fn ops_at_the_packed_edges_read_back_identical_and_in_order(
+        first in proptest::collection::vec(stepped_op(), 0..200),
+        second in proptest::collection::vec(stepped_op(), 0..200),
+    ) {
+        let topo = Topology::fully_interconnected(2, 4, 1 << 30);
+        let mut b = ProgramBuilder::new(&topo, 4096);
+        let t0 = b.add_thread(0);
+        let t1 = b.add_thread(1);
+        let (mut cursor0, mut cursor1) = (0, 0);
+        let (mut placed0, mut placed1) = (Vec::new(), Vec::new());
+        // Interleaved, so one thread's address cursor cannot serve the
+        // other.
+        for i in 0..first.len().max(second.len()) {
+            if let Some(&op) = first.get(i) {
+                let op = place(op, &mut cursor0);
+                push(&mut b, t0, op);
+                placed0.push(op);
+            }
+            if let Some(&op) = second.get(i) {
+                let op = place(op, &mut cursor1);
+                push(&mut b, t1, op);
+                placed1.push(op);
+            }
+        }
+        let p = b.build();
+        prop_assert_eq!(p.total_ops(), first.len() + second.len());
+        prop_assert_eq!(p.threads()[0].ops().collect::<Vec<_>>(), placed0);
+        prop_assert_eq!(p.threads()[1].ops().collect::<Vec<_>>(), placed1);
     }
 
     #[test]

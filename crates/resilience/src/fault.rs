@@ -1,12 +1,12 @@
 //! Fault injection: the seam between the resilience layer and its tests.
 //!
 //! Production code consults a [`FaultInjector`] at named sites
-//! (`"probe.accept"`, `"probe.response"`, `"acq.pebs.rotation"`,
-//! `"serve.accept"`, `"serve.response"`); the default [`NoFaults`]
-//! injector returns nothing and costs one virtual call. Tests and the
-//! simulator plug in [`ScriptedFaults`], which drains a deterministic
-//! per-site script — so the fault-matrix suite can stage "the network
-//! truncates the second response" without touching a real network.
+//! (`"probe.accept"`, `"probe.response"`, `"serve.accept"`,
+//! `"serve.response"`); the default [`NoFaults`] injector returns
+//! nothing and costs one virtual call. Tests plug in [`ScriptedFaults`],
+//! which drains a deterministic per-site script — so the fault-matrix
+//! suite can stage "the network truncates the second response" without
+//! touching a real network.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Reproduces the CI pipeline locally, offline: every tier-1 stage of
 # scripts/verify.sh, then the CI gates verify.sh does not run (the
-# determinism matrix, the dl580 and noisy-ring engine golden digests,
-# audit SARIF, the bench regression and multi-core gates), plus the
-# nightly jobs from nightly.yml. If this passes, CI
-# passes (modulo toolchain drift; CI also checks the pinned MSRV
-# toolchain).
+# benchmark workloads' correctness checks, the determinism matrix, the
+# dl580 and noisy-ring engine golden digests, audit SARIF, the bench
+# regression and multi-core gates), plus the nightly jobs from
+# nightly.yml. If this passes, CI passes (modulo toolchain drift; CI
+# also checks the pinned MSRV toolchain).
 #
 # Usage: scripts/ci-local.sh [--quick] [--sanitizers]
 #   --quick       skip the nightly-tier jobs (fault matrices and
@@ -38,6 +38,9 @@ mkdir -p "$out"
 echo "ci-local: artifacts in $out"
 
 scripts/verify.sh
+
+echo "== benchmark workloads' correctness checks =="
+scripts/bench-check.sh
 
 echo "== determinism matrix under varied harness threads =="
 cargo test -q --offline --test integration_parallel -- --test-threads 1

@@ -269,7 +269,6 @@ FAULT INJECTION (tests and drills):
     delay, garbage-bytes, refuse-accept — can be queued per site:
         probe.accept        server accept loop
         probe.response      server response path
-        acq.pebs.rotation   one PEBS threshold rotation timeslice
     The fault matrix in tests/integration_resilience.rs drives every
     fault through a live probe round-trip nightly in CI.
 
